@@ -40,7 +40,6 @@ pub mod ann;
 pub mod assoc;
 pub mod cluster;
 pub mod config;
-pub mod dedup;
 pub mod hierarchy;
 pub mod index;
 pub mod interact;

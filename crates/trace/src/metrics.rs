@@ -21,7 +21,7 @@ const SUB_BITS: u32 = 3;
 const SUB: u64 = 1 << SUB_BITS;
 
 /// A log-bucketed histogram of `u64` values with ≤12.5% relative error.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     counts: BTreeMap<u32, u64>,
     count: u64,
@@ -50,6 +50,14 @@ fn upper_bound(bucket: u32) -> u64 {
     let sub = (bucket % SUB as u32) as u64;
     // Start of the sub-bucket plus its width, minus one.
     ((SUB + sub) << (octave - SUB_BITS)) + (1u64 << (octave - SUB_BITS)) - 1
+}
+
+// Not derived: an empty histogram's `min` must be the `u64::MAX`
+// sentinel, or the first recorded value could never lower it below 0.
+impl Default for Histogram {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl Histogram {

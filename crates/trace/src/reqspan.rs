@@ -239,16 +239,23 @@ impl ReqTrace {
     }
 
     /// Open stage `name`, closing the currently open stage first —
-    /// stages are contiguous by construction.
+    /// stages are contiguous by construction: one clock read both ends
+    /// the old stage and starts the new one.
     pub fn begin(&mut self, name: &'static str) {
-        self.end();
-        self.open = Some((name, self.mark()));
+        let now = self.mark();
+        self.close_at(now);
+        self.open = Some((name, now));
     }
 
     /// Close the currently open stage, if any.
     pub fn end(&mut self) {
+        if self.open.is_some() {
+            self.close_at(self.mark());
+        }
+    }
+
+    fn close_at(&mut self, now: u64) {
         if let Some((name, start)) = self.open.take() {
-            let now = self.mark();
             self.spans.push(ReqSpan {
                 name,
                 start_us: start,

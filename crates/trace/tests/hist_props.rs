@@ -3,7 +3,9 @@
 //! and quantile estimates must bound the true order statistics within
 //! the bucketing's relative-error guarantee.
 
-use inspire_trace::Histogram;
+use std::time::Duration;
+
+use inspire_trace::{Histogram, Registry};
 use proptest::prelude::*;
 
 fn hist_of(values: &[u64]) -> Histogram {
@@ -79,6 +81,37 @@ proptest! {
             est as f64 <= actual as f64 * 1.125,
             "q={q}: estimate {est} overshoots actual {actual} by more than 12.5%"
         );
+    }
+
+    /// A registry histogram's `min` is its smallest sample, whether the
+    /// histogram was created by `observe`, by `ensure` before the first
+    /// sample, or by `merge` into another registry.
+    #[test]
+    fn registry_min_is_smallest_sample(
+        a in prop::collection::vec(1u64..1_000_000, 1..50),
+        b in prop::collection::vec(1u64..1_000_000, 1..50),
+        ensure_first in any::<bool>(),
+    ) {
+        let registry_of = |values: &[u64]| {
+            let mut r = Registry::new();
+            if ensure_first {
+                r.ensure("h");
+            }
+            for &v in values {
+                r.observe("h", Duration::from_nanos(v));
+            }
+            r.ensure("h");
+            r
+        };
+        let ra = registry_of(&a);
+        prop_assert_eq!(ra.histogram("h").unwrap().min(), *a.iter().min().unwrap());
+
+        let mut merged = registry_of(&[]);
+        merged.merge(&ra);
+        merged.merge(&registry_of(&b));
+        let want = *a.iter().chain(&b).min().unwrap();
+        prop_assert_eq!(merged.histogram("h").unwrap().min(), want);
+        prop_assert_eq!(merged.summaries()[0].min_ns, want);
     }
 
     /// A single recorded value is reported exactly at every fraction.
