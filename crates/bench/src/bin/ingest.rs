@@ -24,7 +24,7 @@
 //! `results/scaling_history.md`.
 
 use corpus::{CorpusSpec, Source, SourceSet};
-use inspire_bench::{history, results_dir};
+use inspire_bench::{flag_num, history, results_dir};
 use inspire_core::pipeline::run_engine;
 use inspire_core::query::SearchIndex;
 use inspire_core::EngineConfig;
@@ -274,13 +274,6 @@ fn compare(clean: &ServeState, live: &ServeState, requests: &[ServeRequest]) -> 
         }
     }
     wrong
-}
-
-fn flag_num(args: &[String], flag: &str) -> Option<usize> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
 }
 
 /// Unix seconds → `YYYY-MM-DD` (civil-from-days, Hinnant's algorithm).

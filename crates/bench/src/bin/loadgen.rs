@@ -41,7 +41,7 @@
 //! `results/BENCH_serving_latest.json`, and an append-only row in
 //! `results/scaling_history.md`.
 
-use inspire_bench::{history, results_dir};
+use inspire_bench::{flag_num, flag_str, history, results_dir};
 use inspire_serve::request::split_target;
 use inspire_serve::{execute, http, ServeConfig, ServeRequest, ServeState, Server};
 use inspire_trace::metrics::fmt_ns;
@@ -521,17 +521,6 @@ fn resolve(addr: &str) -> SocketAddr {
             eprintln!("loadgen: cannot resolve --addr {addr}");
             std::process::exit(2);
         })
-}
-
-fn flag_str(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
-fn flag_num(args: &[String], flag: &str) -> Option<usize> {
-    flag_str(args, flag).and_then(|v| v.parse().ok())
 }
 
 #[allow(clippy::too_many_arguments)]

@@ -35,7 +35,7 @@
 //! append-only row in `results/scaling_history.md`.
 
 use corpus::CorpusSpec;
-use inspire_bench::{history, results_dir};
+use inspire_bench::{flag_num, history, results_dir};
 use inspire_core::index::invert;
 use inspire_core::pipeline::run_engine;
 use inspire_core::scan::scan;
@@ -135,8 +135,8 @@ impl SnapshotBench {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
-    let max_threads = flag_value(&args, "--threads").unwrap_or(4).max(1);
-    let iters = flag_value(&args, "--iters")
+    let max_threads = flag_num(&args, "--threads").unwrap_or(4).max(1);
+    let iters = flag_num(&args, "--iters")
         .unwrap_or(if smoke { 2 } else { 5 })
         .max(1);
 
@@ -298,13 +298,6 @@ fn main() {
         &comm,
         &imbalance,
     );
-}
-
-fn flag_value(args: &[String], flag: &str) -> Option<usize> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
 }
 
 /// Wall-clock seconds of scan + invert at the given pool width.

@@ -316,6 +316,19 @@ pub fn component_speedup(records: &[RunRecord], dataset: &str, c: Component) -> 
         .collect()
 }
 
+/// The value after `flag` in a bench binary's argument list.
+pub fn flag_str(args: &[String], flag: &str) -> Option<String> {
+    args.iter()
+        .position(|a| a == flag)
+        .and_then(|i| args.get(i + 1))
+        .cloned()
+}
+
+/// [`flag_str`] parsed as a count; `None` when absent or unparsable.
+pub fn flag_num(args: &[String], flag: &str) -> Option<usize> {
+    flag_str(args, flag).and_then(|v| v.parse().ok())
+}
+
 /// Directory where the harness drops CSVs.
 pub fn results_dir() -> std::path::PathBuf {
     let dir = std::path::PathBuf::from("results");

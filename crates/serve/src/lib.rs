@@ -15,9 +15,10 @@
 //!   the snapshot's scan/index/output sections, implementing the core
 //!   [`inspire_core::query::SearchIndex`] trait so served answers run
 //!   the exact algorithms the CLI runs.
-//! - [`request`] — typed routes, normalized cache keys, and the shared
-//!   [`request::execute`] renderer both front ends use, which is what
-//!   makes served bodies byte-identical to `vaengine query --json`.
+//! - [`request`] — typed routes, normalized cache keys, and the one
+//!   [`request::evaluate`] both front ends use; its [`request::Answer`]
+//!   renders the served JSON and the CLI text, which is what makes
+//!   served bodies byte-identical to `vaengine query --json`.
 //! - [`lru`] — the fixed-capacity result cache with hit/miss/eviction
 //!   counters surfaced at `/metrics`.
 //! - [`http`] — hand-rolled request parsing (total, never panics, hard
@@ -40,6 +41,8 @@ pub mod state;
 
 pub use live::load_live_state;
 pub use lru::{CacheStats, LruCache};
-pub use request::{execute, execute_timed, ExecTiming, RequestError, ServeRequest};
+pub use request::{
+    evaluate, execute, execute_timed, Answer, ExecTiming, RequestError, ServeRequest,
+};
 pub use server::{ServeConfig, ServeSummary, Server};
 pub use state::ServeState;

@@ -1,11 +1,12 @@
 //! Query requests: route parsing, normalized cache keys, and execution.
 //!
-//! A [`ServeRequest`] is the typed form of one query URL. The same
-//! request type backs both front ends — the HTTP server routes
-//! `GET /search?q=…` here, and `vaengine query --json` builds requests
-//! from CLI flags — so both produce their response bodies from
-//! [`execute`], and a served body is byte-identical to the single-shot
-//! CLI body for the same query by construction.
+//! A [`ServeRequest`] is the typed form of one query URL. Both front
+//! ends go parse → [`evaluate`] → [`Answer`] → render: the HTTP server
+//! parses `GET /search?q=…`, `vaengine query` maps its flags onto the
+//! same route params, and [`ServeRequest::parse`] validates both.
+//! [`Answer::to_json`] renders the served body (and `--json`),
+//! [`Answer::to_human`] the CLI text, so a served body is
+//! byte-identical to the single-shot CLI body by construction.
 //!
 //! Bodies are deterministic JSON, one line, newline-terminated. Floats
 //! render through [`inspire_trace::json::num`] (shortest round-trip
@@ -15,8 +16,10 @@
 //! and the load generator's oracle check both rely on).
 
 use crate::state::ServeState;
+use inspire_core::ann::SearchStats;
+use inspire_core::index::Posting;
 use inspire_core::interact::{select_cluster, select_rect};
-use inspire_core::query::{self, Query, SearchIndex};
+use inspire_core::query::{self, Hit, Query, SearchIndex};
 use inspire_trace::json::{escape, num};
 
 /// One typed query, any of the six kinds the engine serves.
@@ -303,11 +306,11 @@ impl ServeRequest {
 /// (newline-terminated). Errors are client errors: missing index
 /// sections for the requested kind, unknown cluster ids.
 pub fn execute(state: &ServeState, req: &ServeRequest) -> Result<String, RequestError> {
-    execute_timed(state, req).map(|(body, _)| body)
+    Ok(evaluate(state, req)?.to_json())
 }
 
-/// Wall-time split of one [`execute_timed`] call: query evaluation
-/// (postings decode included) versus response-body rendering.
+/// Wall-time split of one [`execute_timed`] call: [`evaluate`]
+/// (postings decode included) versus [`Answer::to_json`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ExecTiming {
     pub eval_ns: u64,
@@ -318,85 +321,102 @@ fn ns(d: std::time::Duration) -> u64 {
     d.as_nanos().min(u64::MAX as u128) as u64
 }
 
-/// Timing split for an arm whose evaluation ran `t0..t1` and whose
-/// serialization ran from `t1` until this call.
-fn split(t0: std::time::Instant, t1: std::time::Instant) -> ExecTiming {
-    ExecTiming {
-        eval_ns: ns(t1 - t0),
-        serialize_ns: ns(t1.elapsed()),
-    }
-}
-
 /// [`execute`] plus an eval/serialize wall-time split for request
-/// tracing. `execute` delegates here, so the body bytes are identical
-/// with and without tracing by construction.
+/// tracing. Both run the same [`evaluate`] → [`Answer::to_json`] path,
+/// so the body bytes are identical with and without tracing.
 pub fn execute_timed(
     state: &ServeState,
     req: &ServeRequest,
 ) -> Result<(String, ExecTiming), RequestError> {
-    use std::time::Instant;
-    match req {
+    let t0 = std::time::Instant::now();
+    let answer = evaluate(state, req)?;
+    let t1 = std::time::Instant::now();
+    let body = answer.to_json();
+    let timing = ExecTiming {
+        eval_ns: ns(t1 - t0),
+        serialize_ns: ns(t1.elapsed()),
+    };
+    Ok((body, timing))
+}
+
+/// One evaluated query: the engine result plus the request fields and
+/// snapshot sections its renderers print. [`evaluate`] builds it;
+/// [`Answer::to_json`] renders the HTTP body and [`Answer::to_human`]
+/// the `vaengine query` text, both from the one evaluation.
+#[derive(Debug)]
+pub enum Answer<'a> {
+    Term {
+        term: &'a str,
+        top: usize,
+        postings: Vec<Posting>,
+        /// Distinct documents among `postings`.
+        documents: usize,
+    },
+    Boolean {
+        expr: &'a Query,
+        top: usize,
+        docs: Vec<u32>,
+    },
+    Search {
+        text: &'a str,
+        hits: Vec<Hit>,
+    },
+    Cluster {
+        cluster: u32,
+        label: &'a [String],
+        top: usize,
+        docs: Vec<u32>,
+        coords: &'a [(f64, f64)],
+    },
+    Rect {
+        min: (f64, f64),
+        max: (f64, f64),
+        top: usize,
+        docs: Vec<u32>,
+        assignments: &'a [u32],
+    },
+    Similar {
+        doc: Option<u32>,
+        text: Option<&'a str>,
+        nprobe: usize,
+        hits: Vec<Hit>,
+        stats: SearchStats,
+    },
+}
+
+/// Answer `req` from `state`: the section checks (409 when the snapshot
+/// lacks what the kind needs), the target checks (400 for an unknown
+/// cluster or document), then the engine call.
+pub fn evaluate<'a>(
+    state: &'a ServeState,
+    req: &'a ServeRequest,
+) -> Result<Answer<'a>, RequestError> {
+    Ok(match req {
         ServeRequest::Term { term, top } => {
             require_index(state)?;
-            let t0 = Instant::now();
-            let posts = query::lookup_in(state, term);
-            let mut docs: Vec<u32> = posts.iter().map(|p| p.doc).collect();
-            docs.dedup();
-            let t1 = Instant::now();
-            let mut body = format!(
-                "{{\"kind\":\"term\",\"term\":\"{}\",\"postings\":{},\"documents\":{},\"hits\":[",
-                escape(term),
-                posts.len(),
-                docs.len()
-            );
-            for (i, p) in posts.iter().take(*top).enumerate() {
-                if i > 0 {
-                    body.push(',');
-                }
-                body.push_str(&format!(
-                    "{{\"doc\":{},\"field\":{},\"freq\":{}}}",
-                    p.doc, p.field, p.freq
-                ));
+            let postings = query::lookup_in(state, term);
+            Answer::Term {
+                term,
+                top: *top,
+                // Postings are doc-ordered: one run per document.
+                documents: postings.chunk_by(|a, b| a.doc == b.doc).count(),
+                postings,
             }
-            body.push_str("]}\n");
-            Ok((body, split(t0, t1)))
         }
         ServeRequest::Boolean { expr, top } => {
             require_index(state)?;
-            let t0 = Instant::now();
-            let docs = query::evaluate_in(state, expr);
-            let t1 = Instant::now();
-            let mut body = format!(
-                "{{\"kind\":\"query\",\"query\":\"{}\",\"matches\":{},\"docs\":[",
-                escape(&expr.normalized()),
-                docs.len()
-            );
-            for (i, d) in docs.iter().take(*top).enumerate() {
-                if i > 0 {
-                    body.push(',');
-                }
-                body.push_str(&d.to_string());
+            Answer::Boolean {
+                expr,
+                top: *top,
+                docs: query::evaluate_in(state, expr),
             }
-            body.push_str("]}\n");
-            Ok((body, split(t0, t1)))
         }
         ServeRequest::Search { text, top } => {
             require_index(state)?;
-            let t0 = Instant::now();
-            let hits = query::search_in(state, text, *top);
-            let t1 = Instant::now();
-            let mut body = format!(
-                "{{\"kind\":\"search\",\"text\":\"{}\",\"hits\":[",
-                escape(text)
-            );
-            for (i, h) in hits.iter().enumerate() {
-                if i > 0 {
-                    body.push(',');
-                }
-                body.push_str(&format!("{{\"doc\":{},\"score\":{}}}", h.doc, num(h.score)));
+            Answer::Search {
+                text,
+                hits: query::search_in(state, text, *top),
             }
-            body.push_str("]}\n");
-            Ok((body, split(t0, t1)))
         }
         ServeRequest::Cluster { cluster, top } => {
             let (coords, assignments) = require_layout(state)?;
@@ -406,59 +426,26 @@ pub fn execute_timed(
                     state.cluster_sizes.len()
                 )));
             }
-            let t0 = Instant::now();
-            let docs = select_cluster(assignments, *cluster);
-            let t1 = Instant::now();
-            let label = state
-                .cluster_labels
-                .get(*cluster as usize)
-                .map(|l| l.join(", "))
-                .unwrap_or_default();
-            let mut body = format!(
-                "{{\"kind\":\"cluster\",\"cluster\":{},\"label\":\"{}\",\"size\":{},\"docs\":[",
-                cluster,
-                escape(&label),
-                docs.len()
-            );
-            for (i, d) in docs.iter().take(*top).enumerate() {
-                if i > 0 {
-                    body.push(',');
-                }
-                let (x, y) = coords[*d as usize];
-                body.push_str(&format!(
-                    "{{\"doc\":{},\"x\":{},\"y\":{}}}",
-                    d,
-                    num(x),
-                    num(y)
-                ));
+            Answer::Cluster {
+                cluster: *cluster,
+                label: state
+                    .cluster_labels
+                    .get(*cluster as usize)
+                    .map_or(&[], Vec::as_slice),
+                top: *top,
+                docs: select_cluster(assignments, *cluster),
+                coords,
             }
-            body.push_str("]}\n");
-            Ok((body, split(t0, t1)))
         }
         ServeRequest::Rect { min, max, top } => {
             let (coords, assignments) = require_layout(state)?;
-            let t0 = Instant::now();
-            let docs = select_rect(coords, *min, *max);
-            let t1 = Instant::now();
-            let mut body = format!(
-                "{{\"kind\":\"rect\",\"x0\":{},\"y0\":{},\"x1\":{},\"y1\":{},\"matches\":{},\"docs\":[",
-                num(min.0),
-                num(min.1),
-                num(max.0),
-                num(max.1),
-                docs.len()
-            );
-            for (i, d) in docs.iter().take(*top).enumerate() {
-                if i > 0 {
-                    body.push(',');
-                }
-                body.push_str(&format!(
-                    "{{\"doc\":{},\"cluster\":{}}}",
-                    d, assignments[*d as usize]
-                ));
+            Answer::Rect {
+                min: *min,
+                max: *max,
+                top: *top,
+                docs: select_rect(coords, *min, *max),
+                assignments,
             }
-            body.push_str("]}\n");
-            Ok((body, split(t0, t1)))
         }
         ServeRequest::Similar {
             doc,
@@ -467,7 +454,6 @@ pub fn execute_timed(
             nprobe,
         } => {
             require_ann(state)?;
-            let t0 = Instant::now();
             let query: Vec<f64> = match (doc, text) {
                 (Some(d), _) => {
                     if state.is_deleted(*d) {
@@ -489,26 +475,234 @@ pub fn execute_timed(
                 (None, None) => return Err(RequestError::bad("missing doc= or text=")),
             };
             let (hits, stats) = state.similar(&query, *top, *nprobe);
-            let t1 = Instant::now();
-            let mut body = String::from("{\"kind\":\"similar\",");
-            match (doc, text) {
-                (Some(d), _) => body.push_str(&format!("\"doc\":{d},")),
-                (_, Some(t)) => body.push_str(&format!("\"text\":\"{}\",", escape(t))),
-                _ => unreachable!("parse requires doc= or text="),
+            Answer::Similar {
+                doc: *doc,
+                text: text.as_deref(),
+                nprobe: *nprobe,
+                hits,
+                stats,
             }
-            body.push_str(&format!(
-                "\"nprobe\":{},\"probed\":{},\"candidates\":{},\"hits\":[",
-                nprobe, stats.probed, stats.candidates
-            ));
-            for (i, h) in hits.iter().enumerate() {
-                if i > 0 {
-                    body.push(',');
-                }
-                body.push_str(&format!("{{\"doc\":{},\"score\":{}}}", h.doc, num(h.score)));
-            }
-            body.push_str("]}\n");
-            Ok((body, split(t0, t1)))
         }
+    })
+}
+
+/// Close a JSON body: `items` rendered comma-separated by `item`, then
+/// the `]}` that ends every body's result array, then the newline.
+fn close_list<T>(
+    mut body: String,
+    items: impl IntoIterator<Item = T>,
+    item: impl Fn(T) -> String,
+) -> String {
+    for (i, x) in items.into_iter().enumerate() {
+        if i > 0 {
+            body.push(',');
+        }
+        body.push_str(&item(x));
+    }
+    body.push_str("]}\n");
+    body
+}
+
+impl Answer<'_> {
+    /// The HTTP response body: deterministic one-line JSON,
+    /// newline-terminated.
+    pub fn to_json(&self) -> String {
+        let hit = |h: &Hit| format!("{{\"doc\":{},\"score\":{}}}", h.doc, num(h.score));
+        match self {
+            Answer::Term {
+                term,
+                top,
+                postings,
+                documents,
+            } => close_list(
+                format!(
+                    "{{\"kind\":\"term\",\"term\":\"{}\",\"postings\":{},\"documents\":{documents},\"hits\":[",
+                    escape(term),
+                    postings.len()
+                ),
+                postings.iter().take(*top),
+                |p| format!("{{\"doc\":{},\"field\":{},\"freq\":{}}}", p.doc, p.field, p.freq),
+            ),
+            Answer::Boolean { expr, top, docs } => close_list(
+                format!(
+                    "{{\"kind\":\"query\",\"query\":\"{}\",\"matches\":{},\"docs\":[",
+                    escape(&expr.normalized()),
+                    docs.len()
+                ),
+                docs.iter().take(*top),
+                |d| d.to_string(),
+            ),
+            Answer::Search { text, hits } => close_list(
+                format!("{{\"kind\":\"search\",\"text\":\"{}\",\"hits\":[", escape(text)),
+                hits,
+                hit,
+            ),
+            Answer::Cluster {
+                cluster,
+                label,
+                top,
+                docs,
+                coords,
+            } => close_list(
+                format!(
+                    "{{\"kind\":\"cluster\",\"cluster\":{cluster},\"label\":\"{}\",\"size\":{},\"docs\":[",
+                    escape(&label.join(", ")),
+                    docs.len()
+                ),
+                docs.iter().take(*top),
+                |&d| {
+                    let (x, y) = coords[d as usize];
+                    format!("{{\"doc\":{d},\"x\":{},\"y\":{}}}", num(x), num(y))
+                },
+            ),
+            Answer::Rect {
+                min,
+                max,
+                top,
+                docs,
+                assignments,
+            } => close_list(
+                format!(
+                    "{{\"kind\":\"rect\",\"x0\":{},\"y0\":{},\"x1\":{},\"y1\":{},\"matches\":{},\"docs\":[",
+                    num(min.0),
+                    num(min.1),
+                    num(max.0),
+                    num(max.1),
+                    docs.len()
+                ),
+                docs.iter().take(*top),
+                |&d| format!("{{\"doc\":{d},\"cluster\":{}}}", assignments[d as usize]),
+            ),
+            Answer::Similar {
+                doc,
+                text,
+                nprobe,
+                hits,
+                stats,
+            } => {
+                let target = match doc {
+                    Some(d) => format!("\"doc\":{d}"),
+                    None => format!("\"text\":\"{}\"", escape(text.unwrap_or_default())),
+                };
+                close_list(
+                    format!(
+                        "{{\"kind\":\"similar\",{target},\"nprobe\":{nprobe},\"probed\":{},\"candidates\":{},\"hits\":[",
+                        stats.probed, stats.candidates
+                    ),
+                    hits,
+                    hit,
+                )
+            }
+        }
+    }
+
+    /// The `vaengine query` text: a summary line, then one indented
+    /// line per result row.
+    pub fn to_human(&self) -> String {
+        let mut out = String::new();
+        let mut line = |s: String| {
+            out.push_str(&s);
+            out.push('\n');
+        };
+        match self {
+            Answer::Term {
+                term,
+                top,
+                postings,
+                documents,
+            } => {
+                line(format!(
+                    "term {term:?}: {} postings in {documents} documents",
+                    postings.len()
+                ));
+                for p in postings.iter().take(*top) {
+                    line(format!(
+                        "  doc {:>7}  field {}  freq {}",
+                        p.doc, p.field, p.freq
+                    ));
+                }
+            }
+            Answer::Boolean { expr, top, docs } => {
+                line(format!(
+                    "query {:?}: {} matching documents",
+                    expr.normalized(),
+                    docs.len()
+                ));
+                for d in docs.iter().take(*top) {
+                    line(format!("  doc {d}"));
+                }
+                if docs.len() > *top {
+                    line(format!("  … and {} more", docs.len() - top));
+                }
+            }
+            Answer::Search { text, hits } => {
+                line(format!(
+                    "search {text:?}: top {} of ranked hits",
+                    hits.len()
+                ));
+                for h in hits {
+                    line(format!("  doc {:>7}  score {:.4}", h.doc, h.score));
+                }
+            }
+            Answer::Cluster {
+                cluster,
+                label,
+                top,
+                docs,
+                coords,
+            } => {
+                let label = label.join(", ");
+                line(format!(
+                    "cluster {cluster} ({label}): {} documents",
+                    docs.len()
+                ));
+                for &d in docs.iter().take(*top) {
+                    let (x, y) = coords[d as usize];
+                    line(format!("  doc {d:>7}  ({x:.4}, {y:.4})"));
+                }
+            }
+            Answer::Rect {
+                min,
+                max,
+                top,
+                docs,
+                assignments,
+            } => {
+                line(format!(
+                    "rect ({:.3},{:.3})–({:.3},{:.3}): {} documents",
+                    min.0,
+                    min.1,
+                    max.0,
+                    max.1,
+                    docs.len()
+                ));
+                for &d in docs.iter().take(*top) {
+                    line(format!("  doc {d:>7}  cluster {}", assignments[d as usize]));
+                }
+            }
+            Answer::Similar {
+                doc,
+                text,
+                nprobe,
+                hits,
+                stats,
+            } => {
+                let what = match doc {
+                    Some(d) => format!("doc {d}"),
+                    None => format!("{:?}", text.unwrap_or_default()),
+                };
+                line(format!(
+                    "similar to {what}: top {} (nprobe {nprobe}, {} clusters probed, {} candidates)",
+                    hits.len(),
+                    stats.probed,
+                    stats.candidates
+                ));
+                for h in hits {
+                    line(format!("  doc {:>7}  score {:.4}", h.doc, h.score));
+                }
+            }
+        }
+        out
     }
 }
 

@@ -40,9 +40,7 @@ use std::path::{Path, PathBuf};
 use std::process::exit;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use visual_analytics::engine::interact::{select_cluster, select_rect};
 use visual_analytics::engine::io::{read_coords_csv, write_coords_csv};
-use visual_analytics::engine::query::{self, Query};
 use visual_analytics::engine::report::build_run_report;
 use visual_analytics::prelude::*;
 
@@ -412,21 +410,6 @@ fn compact_cmd(args: &Args) {
     }
 }
 
-/// Normalized `(min, max)` corners of a `--rect` selection.
-type RectCorners = ((f64, f64), (f64, f64));
-
-/// `--rect x0,y0,x1,y1` → normalized `(min, max)` corners.
-fn parse_rect(rect: &str) -> Result<RectCorners, String> {
-    let parts: Vec<f64> = rect.split(',').filter_map(|v| v.parse().ok()).collect();
-    if parts.len() != 4 {
-        return Err(format!("bad --rect {rect:?}, expected x0,y0,x1,y1"));
-    }
-    Ok((
-        (parts[0].min(parts[2]), parts[1].min(parts[3])),
-        (parts[0].max(parts[2]), parts[1].max(parts[3])),
-    ))
-}
-
 /// Load a snapshot into serving state, printing the standard banner.
 /// `--json` mode moves the banner to stderr so stdout carries only the
 /// query bodies.
@@ -486,6 +469,18 @@ fn load_live_serve_state(dir: &str, json: bool) -> ServeState {
     state
 }
 
+/// `query` flags in output order: the HTTP route each one queries and
+/// the params its value fills (`--rect x0,y0,x1,y1` fills four).
+const QUERY_FLAGS: [(&str, &str, &str); 7] = [
+    ("--term", "/term", "t"),
+    ("--query", "/query", "q"),
+    ("--search", "/search", "q"),
+    ("--cluster", "/cluster", "c"),
+    ("--rect", "/rect", "x0,y0,x1,y1"),
+    ("--similar", "/similar", "doc"),
+    ("--similar-text", "/similar", "text"),
+];
+
 fn query_cmd(args: &Args) {
     let ingest_dir = args.value("--ingest-dir");
     let snapshot = args.value("--snapshot");
@@ -494,7 +489,6 @@ fn query_cmd(args: &Args) {
         (None, Some(d)) => d,
         _ => usage(),
     };
-    let top: usize = args.value_or("--top", "10").parse().unwrap_or(10);
     let repeat: usize = args
         .value_or("--repeat", "1")
         .parse()
@@ -502,6 +496,33 @@ fn query_cmd(args: &Args) {
         .filter(|&n| n >= 1)
         .unwrap_or(1);
     let json = args.has("--json");
+    let fail = |e: String| -> ! {
+        eprintln!("query failed: {e}");
+        exit(1);
+    };
+
+    // Each flag becomes the params of its HTTP route and parses through
+    // `ServeRequest::parse`, so the CLI validates exactly like the
+    // server; `--top`/`--nprobe` pass through only when given.
+    let requests: Vec<ServeRequest> = QUERY_FLAGS
+        .iter()
+        .filter_map(|&(flag, route, keys)| {
+            let value = args.value(flag)?;
+            let keys: Vec<&str> = keys.split(',').collect();
+            let mut params: Vec<(String, String)> = keys
+                .iter()
+                .zip(value.splitn(keys.len(), ','))
+                .map(|(k, v)| (k.to_string(), v.to_string()))
+                .collect();
+            for (flag, key) in [("--top", "top"), ("--nprobe", "nprobe")] {
+                if let Some(v) = args.value(flag) {
+                    params.push((key.to_string(), v.to_string()));
+                }
+            }
+            Some(ServeRequest::parse(route, &params).unwrap_or_else(|e| fail(e.message)))
+        })
+        .collect();
+
     let started = std::time::Instant::now();
     let state = match ingest_dir {
         Some(d) => load_live_serve_state(d, json),
@@ -509,88 +530,22 @@ fn query_cmd(args: &Args) {
     };
     let mut metrics = Registry::new();
     metrics.observe("snapshot_load_seconds", started.elapsed());
-    let fail = |e: String| -> ! {
-        eprintln!("query failed: {e}");
-        exit(1);
-    };
 
-    // The typed request list, in CLI flag order. Both output modes
-    // execute these; `--json` prints the exact bodies the HTTP server
-    // serves (same `execute` path, byte for byte).
-    let mut requests: Vec<ServeRequest> = Vec::new();
-    if let Some(term) = args.value("--term") {
-        requests.push(ServeRequest::Term {
-            term: term.to_ascii_lowercase(),
-            top,
-        });
-    }
-    if let Some(expr) = args.value("--query") {
-        let parsed =
-            Query::parse(expr).unwrap_or_else(|e| fail(format!("bad query {expr:?}: {e}")));
-        requests.push(ServeRequest::Boolean { expr: parsed, top });
-    }
-    if let Some(text) = args.value("--search") {
-        requests.push(ServeRequest::Search {
-            text: text.to_string(),
-            top,
-        });
-    }
-    if let Some(c) = args.value("--cluster") {
-        let cluster: u32 = c
-            .parse()
-            .unwrap_or_else(|_| fail(format!("bad cluster id {c:?}")));
-        requests.push(ServeRequest::Cluster { cluster, top });
-    }
-    if let Some(rect) = args.value("--rect") {
-        let (min, max) = parse_rect(rect).unwrap_or_else(|e| fail(e));
-        requests.push(ServeRequest::Rect { min, max, top });
-    }
-    let nprobe: usize = match args.value("--nprobe") {
-        None => inspire_serve::request::DEFAULT_NPROBE,
-        Some(v) => v
-            .parse()
-            .ok()
-            .filter(|&n| n >= 1)
-            .unwrap_or_else(|| fail(format!("bad --nprobe {v:?} (>= 1)"))),
-    };
-    if let Some(d) = args.value("--similar") {
-        let doc: u32 = d
-            .parse()
-            .unwrap_or_else(|_| fail(format!("bad document id {d:?}")));
-        requests.push(ServeRequest::Similar {
-            doc: Some(doc),
-            text: None,
-            top,
-            nprobe,
-        });
-    }
-    if let Some(text) = args.value("--similar-text") {
-        requests.push(ServeRequest::Similar {
-            doc: None,
-            text: Some(text.to_string()),
-            top,
-            nprobe,
-        });
-    }
-
-    // Each requested query kind runs `repeat` times against the serving
-    // metrics registry; results print on the first pass only.
+    // Each request is evaluated `repeat` times into the serving metrics
+    // registry; the first pass prints its answer. `--json` prints the
+    // exact body the HTTP server serves for the same route.
     for pass in 0..repeat {
-        let first = pass == 0;
         for req in &requests {
-            let name = format!("query_{}_seconds", metric_kind(req));
-            if json {
-                let body = metrics.time(&name, || inspire_serve::execute(&state, req));
-                match body {
-                    Ok(b) => {
-                        if first {
-                            print!("{b}");
-                        }
-                    }
-                    Err(e) => fail(e.message),
+            let name = format!("query_{}_seconds", req.kind());
+            let answer = metrics
+                .time(&name, || inspire_serve::evaluate(&state, req))
+                .unwrap_or_else(|e| fail(e.message));
+            if pass == 0 {
+                if json {
+                    print!("{}", answer.to_json());
+                } else {
+                    print!("{}", answer.to_human());
                 }
-            } else if let Err(e) = print_human(&state, req, &name, &mut metrics, first) {
-                fail(e);
             }
         }
     }
@@ -615,173 +570,6 @@ fn query_cmd(args: &Args) {
         });
         println!("serving report written to {out}");
     }
-}
-
-/// Serving-metric kind segment per query kind (`query_<kind>_seconds`).
-/// `Boolean` keeps the historical `eval` kind the run reports already
-/// use, now in the `subsystem_name_unit` naming convention.
-fn metric_kind(req: &ServeRequest) -> &'static str {
-    match req {
-        ServeRequest::Term { .. } => "term",
-        ServeRequest::Boolean { .. } => "eval",
-        ServeRequest::Search { .. } => "search",
-        ServeRequest::Cluster { .. } => "cluster",
-        ServeRequest::Rect { .. } => "rect",
-        ServeRequest::Similar { .. } => "similar",
-    }
-}
-
-/// Execute one request and print the human-readable result (first pass
-/// only); timings land in `metrics` under `name` on every pass.
-fn print_human(
-    state: &ServeState,
-    req: &ServeRequest,
-    name: &str,
-    metrics: &mut Registry,
-    first: bool,
-) -> Result<(), String> {
-    let need_index = || {
-        if state.has_index() {
-            Ok(())
-        } else {
-            Err(format!(
-                "stage {:?} snapshot has no inverted index",
-                state.meta.stage
-            ))
-        }
-    };
-    type Layout<'a> = (&'a [(f64, f64)], &'a [u32]);
-    let need_layout = || -> Result<Layout<'_>, String> {
-        match (&state.coords, &state.assignments) {
-            (Some(c), Some(a)) => Ok((c, a)),
-            _ => Err(format!(
-                "stage {:?} snapshot has no clustering/projection to drill into",
-                state.meta.stage
-            )),
-        }
-    };
-    match req {
-        ServeRequest::Term { term, top } => {
-            need_index()?;
-            let posts = metrics.time(name, || query::lookup_in(state, term));
-            if first {
-                let mut docs: Vec<u32> = posts.iter().map(|p| p.doc).collect();
-                docs.dedup();
-                println!(
-                    "term {term:?}: {} postings in {} documents",
-                    posts.len(),
-                    docs.len()
-                );
-                for p in posts.iter().take(*top) {
-                    println!("  doc {:>7}  field {}  freq {}", p.doc, p.field, p.freq);
-                }
-            }
-        }
-        ServeRequest::Boolean { expr, top } => {
-            need_index()?;
-            let docs = metrics.time(name, || query::evaluate_in(state, expr));
-            if first {
-                println!(
-                    "query {:?}: {} matching documents",
-                    expr.normalized(),
-                    docs.len()
-                );
-                for d in docs.iter().take(*top) {
-                    println!("  doc {d}");
-                }
-                if docs.len() > *top {
-                    println!("  … and {} more", docs.len() - top);
-                }
-            }
-        }
-        ServeRequest::Search { text, top } => {
-            need_index()?;
-            let hits = metrics.time(name, || query::search_in(state, text, *top));
-            if first {
-                println!("search {text:?}: top {} of ranked hits", hits.len());
-                for h in &hits {
-                    println!("  doc {:>7}  score {:.4}", h.doc, h.score);
-                }
-            }
-        }
-        ServeRequest::Cluster { cluster, top } => {
-            let (coords, assignments) = need_layout()?;
-            let docs = metrics.time(name, || select_cluster(assignments, *cluster));
-            if first {
-                let label = state
-                    .cluster_labels
-                    .get(*cluster as usize)
-                    .map(|l| l.join(", "))
-                    .unwrap_or_default();
-                println!("cluster {cluster} ({label}): {} documents", docs.len());
-                for d in docs.iter().take(*top) {
-                    let (x, y) = coords[*d as usize];
-                    println!("  doc {d:>7}  ({x:.4}, {y:.4})");
-                }
-            }
-        }
-        ServeRequest::Rect { min, max, top } => {
-            let (coords, assignments) = need_layout()?;
-            let docs = metrics.time(name, || select_rect(coords, *min, *max));
-            if first {
-                println!(
-                    "rect ({:.3},{:.3})–({:.3},{:.3}): {} documents",
-                    min.0,
-                    min.1,
-                    max.0,
-                    max.1,
-                    docs.len()
-                );
-                for d in docs.iter().take(*top) {
-                    println!("  doc {d:>7}  cluster {}", assignments[*d as usize]);
-                }
-            }
-        }
-        ServeRequest::Similar {
-            doc,
-            text,
-            top,
-            nprobe,
-        } => {
-            if !state.has_ann() {
-                return Err(format!(
-                    "stage {:?} snapshot has no ANN sections; rebuild snapshot",
-                    state.meta.stage
-                ));
-            }
-            let query: Vec<f64> = match (doc, text) {
-                (Some(d), _) => {
-                    if state.is_deleted(*d) {
-                        return Err(format!("document {d} is deleted"));
-                    }
-                    state
-                        .doc_signature(*d)
-                        .ok_or_else(|| format!("unknown document {d}"))?
-                        .to_vec()
-                }
-                (None, Some(t)) => state.embed_text(t).expect("ANN sections checked"),
-                (None, None) => return Err("missing --similar or --similar-text".to_string()),
-            };
-            let (hits, stats) = metrics.time(name, || state.similar(&query, *top, *nprobe));
-            if first {
-                let what = match (doc, text) {
-                    (Some(d), _) => format!("doc {d}"),
-                    (_, Some(t)) => format!("{t:?}"),
-                    _ => String::new(),
-                };
-                println!(
-                    "similar to {what}: top {} (nprobe {nprobe}, {} clusters probed, {} candidates)",
-                    hits.len(),
-                    stats.probed,
-                    stats.candidates
-                );
-                for h in &hits {
-                    println!("  doc {:>7}  score {:.4}", h.doc, h.score);
-                }
-            }
-        }
-    }
-    Ok(())
 }
 
 /// SIGINT/SIGTERM → a flag the serve loop polls. Raw `signal(2)` FFI:

@@ -86,6 +86,8 @@ def check_histogram(h, where):
         fail(f"{where}: missing histogram name")
         ok = False
     if ok and h["count"] > 0:
+        if not 0 < h["min_ns"] <= h["p50_ns"]:
+            fail(f"{where}: min not in (0, p50]: min={h['min_ns']} p50={h['p50_ns']}")
         if not h["p50_ns"] <= h["p95_ns"] <= h["p99_ns"] <= h["max_ns"]:
             fail(
                 f"{where}: percentiles not monotone: "
