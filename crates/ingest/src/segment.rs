@@ -180,7 +180,11 @@ pub struct Segment {
 
 impl Segment {
     pub fn open(path: &Path) -> io::Result<Segment> {
-        let snap = Snapshot::open(path)?;
+        Self::from_store(Snapshot::open(path)?)
+    }
+
+    /// Validate an already-loaded store container as a segment.
+    pub fn from_store(snap: Snapshot) -> io::Result<Segment> {
         let src = snap.source().to_string();
         let meta = snap.require("smeta")?.as_u64s()?.to_vec();
         if meta.len() < 4 {

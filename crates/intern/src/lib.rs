@@ -257,6 +257,13 @@ impl TermTable {
         std::str::from_utf8(&self.arena[lo..hi]).expect("term table arena holds UTF-8")
     }
 
+    /// The bytes of term `i`, without the UTF-8 check [`TermTable::get`]
+    /// makes: for ordered comparisons in hot merge loops.
+    #[inline]
+    pub fn get_bytes(&self, i: usize) -> &[u8] {
+        &self.arena[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    }
+
     /// Canonical id of `term`, if present (binary search).
     pub fn position(&self, term: &str) -> Option<usize> {
         let mut lo = 0usize;

@@ -12,7 +12,7 @@
 //! same postings in the same order, same df sums, same total_docs, and
 //! therefore the same scores and bytes.
 //!
-//! Lower-bounded reads ([`LiveIndex::postings_from`], the boolean AND
+//! Lower-bounded reads (`LiveIndex::postings_from`, the boolean AND
 //! seek path) skip whole components whose doc range lies below the
 //! bound and use the block skip-pointers inside the one component the
 //! bound lands in.
@@ -22,24 +22,71 @@
 //! intentionally keep counting them (LSM semantics — stats converge
 //! when a future full rebuild folds the base). Compaction preserves
 //! exactly these semantics, so a generation flip never changes bytes.
+//!
+//! A reload builds a new overlay over shared, already-verified
+//! components. The base (its snapshot and everything derived from it)
+//! and each segment (with its reconstructed `/similar` signatures) come
+//! from one private table of `Weak` handles, keyed by path plus the
+//! `(dev, ino, len, mtime)` of the file the bytes were read from. A hit
+//! reads nothing; a miss reads the file and verifies every checksum. The
+//! table keeps nothing alive: while any served state holds a component,
+//! the next generation shares it, and once every state is dropped the
+//! next load reads and verifies everything again. A file replaced
+//! through tmp+rename has a new inode and is verified again. The merged
+//! vocabulary is one linear merge of the component tables, which are
+//! already sorted.
 
-use crate::state::ServeState;
+use crate::state::{Base, ServeState};
 use inspire_core::index::Posting;
 use inspire_core::query::SearchIndex;
-use inspire_core::TermId;
+use inspire_core::{EngineSnapshot, TermId};
 use inspire_ingest::{Manifest, Segment};
+use inspire_store::Snapshot;
 use intern::TermTable;
+use std::any::Any;
+use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
+use std::collections::{BinaryHeap, HashMap};
 use std::io;
-use std::path::Path;
-use std::sync::Arc;
+use std::path::{Path, PathBuf};
+use std::sync::{Arc, LazyLock, Mutex, MutexGuard, PoisonError, Weak};
+use std::time::SystemTime;
 
 /// "This component does not contain the merged term."
 const ABSENT: u32 = u32::MAX;
 
+/// Manifests a reload reads at most when compaction keeps unlinking the
+/// segments the last one listed.
+const LOAD_ATTEMPTS: usize = 3;
+
+/// A verified segment plus the `/similar` signatures reconstructed for
+/// its documents. Shared by every generation that lists the segment.
+pub(crate) struct LiveSegment {
+    seg: Segment,
+    /// `doc_count × m` signatures in local doc order (empty when the
+    /// base has no ANN sections).
+    sigs: Vec<f64>,
+    /// The base the signatures were built against.
+    base: Weak<Base>,
+}
+
+impl LiveSegment {
+    pub(crate) fn signatures(&self) -> &[f64] {
+        &self.sigs
+    }
+}
+
+impl std::ops::Deref for LiveSegment {
+    type Target = Segment;
+    fn deref(&self) -> &Segment {
+        &self.seg
+    }
+}
+
 /// The merge-on-read overlay. Built by [`load_live_state`]; owned by a
 /// [`ServeState`] whose `terms` is the merged vocabulary.
 pub struct LiveIndex {
-    segments: Vec<Segment>,
+    segments: Vec<Arc<LiveSegment>>,
     /// Per merged term id: base-local term id, or [`ABSENT`].
     base_map: Vec<u32>,
     /// Per segment, per merged term id: segment-local id or [`ABSENT`].
@@ -52,6 +99,8 @@ pub struct LiveIndex {
     total_docs: u32,
     /// Sorted union of segment tombstones (global doc ids).
     tombstones: Vec<u32>,
+    /// Components (base and segments) taken from a live generation.
+    reused: usize,
 }
 
 fn bad(dir: &Path, msg: String) -> io::Error {
@@ -61,18 +110,128 @@ fn bad(dir: &Path, msg: String) -> io::Error {
     )
 }
 
+/// Identity of the file a component's bytes were read from. Rewriting
+/// a file in place changes its `len` or `mtime`; replacing it through
+/// tmp+rename changes its `ino`.
+#[derive(PartialEq, Eq, Hash)]
+struct FileKey {
+    path: PathBuf,
+    dev: u64,
+    ino: u64,
+    len: u64,
+    mtime: SystemTime,
+}
+
+impl FileKey {
+    #[cfg(unix)]
+    fn of(path: &Path, m: &std::fs::Metadata) -> Option<FileKey> {
+        use std::os::unix::fs::MetadataExt;
+        Some(FileKey {
+            path: path.to_path_buf(),
+            dev: m.dev(),
+            ino: m.ino(),
+            len: m.len(),
+            mtime: m.modified().ok()?,
+        })
+    }
+
+    /// Without inode numbers a replaced file cannot be told from the
+    /// original, so nothing is shared.
+    #[cfg(not(unix))]
+    fn of(_: &Path, _: &std::fs::Metadata) -> Option<FileKey> {
+        None
+    }
+}
+
+/// An already-open, fully verified component: a [`Base`] or a
+/// [`LiveSegment`].
+type Shared = Weak<dyn Any + Send + Sync>;
+
+/// Every component some served state still holds, by file identity.
+/// Only `Weak` handles: the table keeps nothing alive, so once every
+/// state over a component is dropped the next load reads and verifies
+/// it again.
+static OPEN: LazyLock<Mutex<HashMap<FileKey, Shared>>> = LazyLock::new(Default::default);
+
+/// Lock [`OPEN`]. Any contents are valid (a lost entry only costs one
+/// re-read), so the guard is taken back even from a poisoned lock.
+fn open_table() -> MutexGuard<'static, HashMap<FileKey, Shared>> {
+    OPEN.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The component at `path`, and whether it was reused: the open one,
+/// if `reusable` accepts it and the file is still the one its bytes
+/// came from; otherwise the file read and checksum-verified in full and
+/// derived by `open`.
+fn component<T: Any + Send + Sync>(
+    path: &Path,
+    reusable: impl Fn(&T) -> bool,
+    open: impl FnOnce(Snapshot) -> io::Result<T>,
+) -> io::Result<(Arc<T>, bool)> {
+    if let Some(key) = FileKey::of(path, &std::fs::metadata(path)?) {
+        let held = open_table().get(&key).and_then(Weak::upgrade);
+        if let Some(hit) = held.and_then(|c| c.downcast::<T>().ok()) {
+            if reusable(&hit) {
+                return Ok((hit, true));
+            }
+        }
+    }
+    let file = std::fs::File::open(path)?;
+    let key = FileKey::of(path, &file.metadata()?);
+    let fresh = Arc::new(open(Snapshot::read_file(file, path)?)?);
+    if let Some(key) = key {
+        let mut table = open_table();
+        table.retain(|_, c| c.strong_count() > 0);
+        table.insert(key, Arc::downgrade(&fresh) as Shared);
+    }
+    Ok((fresh, false))
+}
+
+fn read_manifest(dir: &Path) -> io::Result<Manifest> {
+    Manifest::load(dir)?.ok_or_else(|| bad(dir, "not an ingest directory (no manifest)".into()))
+}
+
 /// Build a serving state over an ingest directory: base snapshot plus
 /// every manifest-listed segment, merged at read time. The base is
 /// required — merge-on-read unions postings with it — and must carry an
-/// inverted index.
+/// inverted index. The base and every segment some live state already
+/// holds are shared, not read again.
 pub fn load_live_state(dir: &Path) -> io::Result<ServeState> {
-    let manifest = Manifest::load(dir)?
-        .ok_or_else(|| bad(dir, "not an ingest directory (no manifest)".into()))?;
+    load_latest(dir, read_manifest(dir)?)
+}
+
+/// Load the generation `manifest` lists. Compaction flips the manifest
+/// and then unlinks its input segments, so a manifest read just before
+/// a compaction can list files that are gone: then read the manifest
+/// again and, if its generation moved, load that one.
+fn load_latest(dir: &Path, mut manifest: Manifest) -> io::Result<ServeState> {
+    let mut attempt = 1;
+    loop {
+        match load_generation(dir, &manifest) {
+            Err(e) if e.kind() == io::ErrorKind::NotFound && attempt < LOAD_ATTEMPTS => {
+                let next = read_manifest(dir)?;
+                if next.generation == manifest.generation {
+                    return Err(e);
+                }
+                manifest = next;
+                attempt += 1;
+            }
+            done => return done,
+        }
+    }
+}
+
+fn load_generation(dir: &Path, manifest: &Manifest) -> io::Result<ServeState> {
     let base_path = manifest
         .base
-        .clone()
+        .as_deref()
         .ok_or_else(|| bad(dir, "live serving requires a base snapshot".into()))?;
-    let mut state = ServeState::load(&base_path)?;
+    let (base, base_reused) = component(
+        base_path,
+        |_: &Base| true,
+        |snap| Base::new(EngineSnapshot::from_store(snap)?),
+    )?;
+    let mut state = ServeState::over(Arc::clone(&base))?;
     if !state.has_index() {
         return Err(bad(
             dir,
@@ -91,12 +250,21 @@ pub fn load_live_state(dir: &Path) -> io::Result<ServeState> {
             ),
         ));
     }
-    let segments: Vec<Segment> = manifest
-        .segments
-        .iter()
-        .map(|s| Segment::open(&dir.join(&s.file)))
-        .collect::<io::Result<_>>()?;
-    for (r, seg) in manifest.segments.iter().zip(&segments) {
+    let mut reused = usize::from(base_reused);
+    let mut segments = Vec::with_capacity(manifest.segments.len());
+    for r in &manifest.segments {
+        let (seg, seg_reused) = component(
+            &dir.join(&r.file),
+            |seg: &LiveSegment| std::ptr::eq(seg.base.as_ptr(), Arc::as_ptr(&base)),
+            |snap| {
+                let seg = Segment::from_store(snap)?;
+                Ok(LiveSegment {
+                    sigs: base.segment_signatures(&seg),
+                    base: Arc::downgrade(&base),
+                    seg,
+                })
+            },
+        )?;
         if seg.doc_base() != r.doc_base || seg.doc_count() != r.doc_count {
             return Err(bad(
                 dir,
@@ -110,54 +278,11 @@ pub fn load_live_state(dir: &Path) -> io::Result<ServeState> {
                 ),
             ));
         }
+        reused += usize::from(seg_reused);
+        segments.push(seg);
     }
 
-    // Sorted union of base + segment vocabularies. Component index 0 is
-    // the base; 1 + si is segment si.
-    let base_terms = Arc::clone(&state.terms);
-    let mut keyed: Vec<(&str, usize, u32)> = Vec::new();
-    for (i, term) in base_terms.iter().enumerate() {
-        keyed.push((term, 0, i as u32));
-    }
-    for (si, seg) in segments.iter().enumerate() {
-        for (local, term) in seg.terms().iter().enumerate() {
-            keyed.push((term, 1 + si, local as u32));
-        }
-    }
-    keyed.sort_unstable_by(|a, b| a.0.as_bytes().cmp(b.0.as_bytes()).then(a.1.cmp(&b.1)));
-
-    let mut vocab: Vec<&str> = Vec::new();
-    let mut base_map: Vec<u32> = Vec::new();
-    let mut seg_maps: Vec<Vec<u32>> = vec![Vec::new(); segments.len()];
-    let mut df: Vec<u32> = Vec::new();
-    let mut at = 0usize;
-    while at < keyed.len() {
-        let term = keyed[at].0;
-        vocab.push(term);
-        base_map.push(ABSENT);
-        for m in seg_maps.iter_mut() {
-            m.push(ABSENT);
-        }
-        let mut d = 0u32;
-        while at < keyed.len() && keyed[at].0 == term {
-            let (_, comp, local) = keyed[at];
-            if comp == 0 {
-                *base_map.last_mut().unwrap() = local;
-                d += state.base_df(local);
-            } else {
-                seg_maps[comp - 1][vocab.len() - 1] = local;
-                d += segments[comp - 1].df(local);
-            }
-            at += 1;
-        }
-        df.push(d);
-    }
-    let merged_terms = Arc::new(TermTable::from_sorted(vocab.iter().copied()));
-
-    // Segments carry no signature sections; reconstruct their documents'
-    // signatures from postings so `/similar` can brute-force them.
-    state.attach_segment_signatures(&segments);
-
+    let vocab = merge_vocab(&base, &segments);
     let mut tombstones: Vec<u32> = segments
         .iter()
         .flat_map(|s| s.tombstones().iter().copied())
@@ -166,15 +291,16 @@ pub fn load_live_state(dir: &Path) -> io::Result<ServeState> {
     tombstones.dedup();
     let total_docs = manifest.base_docs + segments.iter().map(|s| s.doc_count()).sum::<u32>();
 
-    state.terms = merged_terms;
+    state.terms = Arc::new(vocab.terms);
     state.live = Some(LiveIndex {
         segments,
-        base_map,
-        seg_maps,
-        df,
+        base_map: vocab.base_map,
+        seg_maps: vocab.seg_maps,
+        df: vocab.df,
         base_docs: manifest.base_docs,
         total_docs,
         tombstones,
+        reused,
     });
     state.generation = manifest.generation;
     state.last_seal_unix = manifest.last_seal_unix;
@@ -182,9 +308,115 @@ pub fn load_live_state(dir: &Path) -> io::Result<ServeState> {
     Ok(state)
 }
 
+/// The merged vocabulary and where each component holds each term.
+struct MergedVocab {
+    terms: TermTable,
+    base_map: Vec<u32>,
+    seg_maps: Vec<Vec<u32>>,
+    df: Vec<u32>,
+}
+
+/// One linear merge of the already-sorted base and segment
+/// vocabularies. Segment cursors wait in a min-heap; the run of base
+/// terms below the smallest segment term is copied as one block, then
+/// that term takes the next merged id, joined with an equal base term
+/// and every segment head equal to it.
+fn merge_vocab(base: &Base, segments: &[Arc<LiveSegment>]) -> MergedVocab {
+    let (bt, bdf) = (base.terms(), base.df());
+    let cap = bt.len() + segments.iter().map(|s| s.vocab()).sum::<usize>();
+    let mut vocab: Vec<&str> = Vec::with_capacity(cap);
+    let mut base_map: Vec<u32> = Vec::with_capacity(cap);
+    let mut df: Vec<u32> = Vec::with_capacity(cap);
+    // Per segment, the merged id of each local term, in local order.
+    let mut merged_ids: Vec<Vec<u32>> = segments
+        .iter()
+        .map(|s| Vec::with_capacity(s.vocab()))
+        .collect();
+    let mut heads: BinaryHeap<Reverse<(&str, usize)>> = segments
+        .iter()
+        .enumerate()
+        .filter(|(_, s)| s.vocab() > 0)
+        .map(|(si, s)| Reverse((s.terms().get(0), si)))
+        .collect();
+    let mut b = 0usize;
+    loop {
+        let next = heads.peek().map(|h| h.0 .0);
+        let run_end = match next {
+            Some(t) => (b..bt.len())
+                .find(|&i| bt.get_bytes(i) >= t.as_bytes())
+                .unwrap_or(bt.len()),
+            None => bt.len(),
+        };
+        vocab.extend((b..run_end).map(|i| bt.get(i)));
+        base_map.extend(b as u32..run_end as u32);
+        df.extend_from_slice(&bdf[b..run_end]);
+        b = run_end;
+        let Some(term) = next else { break };
+
+        let id = vocab.len() as u32;
+        vocab.push(term);
+        let mut d = 0u32;
+        if b < bt.len() && bt.get_bytes(b) == term.as_bytes() {
+            base_map.push(b as u32);
+            d += bdf[b];
+            b += 1;
+        } else {
+            base_map.push(ABSENT);
+        }
+        while let Some(mut head) = heads.peek_mut() {
+            let Reverse((t, si)) = *head;
+            if t != term {
+                break;
+            }
+            let (seg, local) = (&segments[si], merged_ids[si].len());
+            merged_ids[si].push(id);
+            d += seg.df(local as u32);
+            if local + 1 < seg.vocab() {
+                *head = Reverse((seg.terms().get(local + 1), si));
+            } else {
+                PeekMut::pop(head);
+            }
+        }
+        df.push(d);
+    }
+
+    let n = vocab.len();
+    let seg_maps = merged_ids
+        .iter()
+        .map(|ids| {
+            let mut map = vec![ABSENT; n];
+            for (local, &id) in ids.iter().enumerate() {
+                map[id as usize] = local as u32;
+            }
+            map
+        })
+        .collect();
+    MergedVocab {
+        terms: TermTable::from_sorted(vocab),
+        base_map,
+        seg_maps,
+        df,
+    }
+}
+
 impl LiveIndex {
     pub fn segments_open(&self) -> usize {
         self.segments.len()
+    }
+
+    pub(crate) fn segments(&self) -> &[Arc<LiveSegment>] {
+        &self.segments
+    }
+
+    pub(crate) fn reused(&self) -> usize {
+        self.reused
+    }
+
+    /// The segment holding global doc `doc`, if any.
+    pub(crate) fn segment_of(&self, doc: u32) -> Option<&LiveSegment> {
+        let i = self.segments.partition_point(|s| s.doc_end() <= doc);
+        let seg = self.segments.get(i)?;
+        (seg.doc_base() <= doc).then_some(&**seg)
     }
 
     pub fn total_docs(&self) -> u32 {
@@ -224,11 +456,11 @@ impl LiveIndex {
     /// Merged full posting list: base component, then each segment in
     /// doc order. Component ranges are disjoint and ascending, so the
     /// concatenation is the doc-sorted list a rebuild would store.
-    pub fn postings_into(&self, state: &ServeState, term: TermId, out: &mut Vec<Posting>) {
+    pub(crate) fn postings_into(&self, base: &Base, term: TermId, out: &mut Vec<Posting>) {
         let from = out.len();
         let b = self.base_map[term as usize];
         if b != ABSENT {
-            state.base_postings_into(b, out);
+            base.postings_into(b, out);
         }
         for (si, seg) in self.segments.iter().enumerate() {
             let local = self.seg_maps[si][term as usize];
@@ -242,9 +474,9 @@ impl LiveIndex {
     /// Merged lower-bounded read: components entirely below `min_doc`
     /// are skipped without touching their bytes; the one the bound
     /// lands in seeks through its skip pointers.
-    pub fn postings_from(
+    pub(crate) fn postings_from(
         &self,
-        state: &ServeState,
+        base: &Base,
         term: TermId,
         min_doc: u32,
         out: &mut Vec<Posting>,
@@ -252,7 +484,7 @@ impl LiveIndex {
         let from = out.len();
         let b = self.base_map[term as usize];
         if b != ABSENT && min_doc < self.base_docs {
-            state.base_postings_from(b, min_doc, out);
+            base.postings_from(b, min_doc, out);
         }
         for (si, seg) in self.segments.iter().enumerate() {
             let local = self.seg_maps[si][term as usize];
@@ -277,4 +509,53 @@ pub fn assert_sorted(state: &ServeState, term: TermId) {
         posts.windows(2).all(|w| w[0] < w[1]),
         "merged postings out of order for term {term}"
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use corpus::CorpusSpec;
+    use inspire_core::pipeline::run_engine;
+    use inspire_core::EngineConfig;
+    use inspire_ingest::IngestDir;
+    use perfmodel::CostModel;
+
+    /// A manifest read just before a compaction lists segments the
+    /// compaction then unlinks. Loading it alone fails; the reload
+    /// re-reads the manifest and serves the compacted generation.
+    #[test]
+    fn reload_racing_compaction_loads_the_new_generation() {
+        let dir = std::env::temp_dir().join(format!("va-live-race-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let set = CorpusSpec::pubmed(48 * 1024, 41).generate();
+        let half = set.sources.len() / 2;
+        let base_path = dir.join("base.isnap");
+        let cfg = EngineConfig {
+            snapshot_out: Some(base_path.clone()),
+            ..EngineConfig::for_testing()
+        };
+        let base_set = corpus::SourceSet {
+            sources: set.sources[..half].to_vec(),
+        };
+        run_engine(1, Arc::new(CostModel::zero()), &base_set, &cfg);
+        let live = dir.join("live");
+        let mut ing = IngestDir::create(&live, Some(&base_path)).expect("create");
+        for src in &set.sources[half..half + 3] {
+            ing.append(src.clone()).expect("append");
+        }
+
+        let stale = read_manifest(&live).expect("manifest");
+        let report = ing.compact().expect("compact").expect("folds");
+        assert!(report.generation > stale.generation);
+        let err = load_generation(&live, &stale)
+            .err()
+            .expect("the stale manifest lists unlinked segments");
+        assert_eq!(err.kind(), io::ErrorKind::NotFound);
+
+        let state = load_latest(&live, stale).expect("reload follows the manifest");
+        assert_eq!(state.generation, report.generation);
+        assert_eq!(state.segments_open(), 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

@@ -6,20 +6,21 @@
 //! accounting to one thread. A long-lived server needs the opposite — an
 //! immutable, `Send + Sync` view of the same data that any worker thread
 //! can read concurrently with no coordination. [`ServeState`] is that
-//! view: it **owns** the validated snapshot and serves queries straight
-//! from its section views. Postings stay in their block-compressed
-//! on-disk form; each query decodes only the blocks it touches into a
-//! per-thread scratch buffer (with skip-pointer seeks for lower-bounded
-//! reads), so load time is directory parsing plus the small per-term
-//! stats — not a full postings materialization. Queries run through the
-//! exact same algorithms as the CLI path via
-//! [`inspire_core::query::SearchIndex`].
+//! view: it holds the validated snapshot (in a `Base` that live
+//! generations share) and serves queries straight from its section
+//! views. Postings stay in their block-compressed on-disk form; each
+//! query decodes only the blocks it touches into a per-thread scratch
+//! buffer (with skip-pointer seeks for lower-bounded reads), so load
+//! time is directory parsing plus the small per-term stats — not a full
+//! postings materialization. Queries run through the exact same
+//! algorithms as the CLI path via [`inspire_core::query::SearchIndex`].
 
 use inspire_core::ann::{self, AnnIndexView, SearchStats};
 use inspire_core::index::Posting;
 use inspire_core::query::{Hit, SearchIndex};
 use inspire_core::snapshot::{pair_to_posting, EngineMeta, PostingsDir};
 use inspire_core::{EngineSnapshot, Stage, TermId};
+use inspire_ingest::Segment;
 use inspire_store::codec;
 use intern::TermTable;
 use std::cell::{Cell, RefCell};
@@ -73,10 +74,8 @@ fn decode_timed<R>(f: impl FnOnce() -> R) -> R {
 }
 
 /// ANN serving state derived from the snapshot's IVF sections at load:
-/// the per-list-position code sums the affine kernel expansion needs,
-/// the major-term rows that embed free text into signature space, and —
-/// under a live overlay — reconstructed signatures for segment documents
-/// that are not in the IVF lists yet.
+/// the per-list-position code sums the affine kernel expansion needs and
+/// the major-term rows that embed free text into signature space.
 struct AnnState {
     /// Precomputed [`ann::code_sums`] over the `qsig` section, list
     /// order.
@@ -85,16 +84,6 @@ struct AnnState {
     /// string (not term id) so free-text embedding survives the live
     /// overlay's merged vocabulary, whose ids differ from the base's.
     rows: HashMap<String, usize>,
-    /// Global doc ids of live-segment documents, ascending (segments
-    /// cover disjoint ascending ranges above the base).
-    seg_docs: Vec<u32>,
-    /// Reconstructed `seg_docs.len() × m` signatures for those
-    /// documents: per-term frequency-weighted association rows,
-    /// L1-normalized — the same semantics as the engine's signature
-    /// stage, rebuilt from segment postings because segments carry no
-    /// signature sections. Brute-forced at query time until compaction
-    /// folds them into the IVF lists.
-    seg_sigs: Vec<f64>,
 }
 
 /// How the owned snapshot stores its postings.
@@ -107,64 +96,32 @@ enum IndexLayout {
     Legacy,
 }
 
-/// Immutable, shareable query-serving state from one engine snapshot.
-///
-/// Holds the canonical vocabulary, the postings directory (or legacy
-/// offsets), per-term document frequencies, and — for `Final`-stage
-/// snapshots — the projected coordinates, cluster assignments, labels,
-/// and sizes.
-pub struct ServeState {
+/// What a [`ServeState`] derives from its snapshot at open to answer
+/// queries: the validated snapshot, its vocabulary, postings directory
+/// and df, and the ANN state. Immutable once built, so every
+/// generation a live ingest directory serves over the same base shares
+/// one `Arc<Base>` (see [`crate::live`]) instead of re-reading and
+/// re-verifying it.
+pub(crate) struct Base {
     /// The validated snapshot; posting bytes are read from its sections
     /// on demand.
     snap: EngineSnapshot,
-    /// Snapshot metadata (stage, fingerprints, corpus shape).
-    pub meta: EngineMeta,
-    /// Canonical sorted vocabulary.
-    pub terms: Arc<TermTable>,
+    /// The snapshot's own sorted vocabulary (base-local term ids).
+    terms: Arc<TermTable>,
     /// Postings layout + per-term document frequency; `None` when the
     /// snapshot predates the Index stage.
     index: Option<(IndexLayout, Vec<u32>)>,
-    /// 2-D document coordinates (Final stage only).
-    pub coords: Option<Vec<(f64, f64)>>,
-    /// Cluster assignment per document (Final stage only).
-    pub assignments: Option<Vec<u32>>,
-    /// Topic labels per cluster (Final stage only).
-    pub cluster_labels: Vec<Vec<String>>,
-    /// Documents per cluster (Final stage only).
-    pub cluster_sizes: Vec<u64>,
     /// IVF similarity-search state; `None` when the snapshot predates
-    /// the ANN sections (similarity requests then get a clear 409).
+    /// the ANN sections.
     ann: Option<AnnState>,
-    /// Merge-on-read overlay: ingest segments unioned with the base
-    /// snapshot at query time. `None` for plain snapshot serving. When
-    /// set, `terms` is the merged vocabulary and every [`SearchIndex`]
-    /// method routes through the overlay.
-    pub(crate) live: Option<crate::live::LiveIndex>,
-    /// Ingest-manifest generation this state was built from (0 for
-    /// plain snapshots).
-    pub generation: u64,
-    /// `last_seal_unix` of the manifest (0 for plain snapshots).
-    pub last_seal_unix: u64,
-    /// The ingest directory this state was built from, when live
-    /// serving ([`crate::live::load_live_state`]); lets `/metrics`
-    /// compute WAL backlog gauges and read the ingest metrics sidecar.
-    pub ingest_dir: Option<PathBuf>,
 }
 
-impl ServeState {
-    /// Open `path`, verify it (every checksum, via [`EngineSnapshot`]),
-    /// and build the serving state. The snapshot may have been written
-    /// at any processor count; queries read only partition-independent
-    /// state.
-    pub fn load(path: &Path) -> io::Result<ServeState> {
-        Self::from_snapshot(EngineSnapshot::open(path)?)
-    }
-
-    /// Build serving state over an already opened snapshot. Cheap: the
+impl Base {
+    /// Derive the serving state of a validated snapshot. Cheap: the
     /// vocabulary, postings directory, and df stats are materialized
     /// (all small); posting lists are not touched until queried.
-    pub fn from_snapshot(snap: EngineSnapshot) -> io::Result<ServeState> {
-        let meta = snap.meta().clone();
+    pub(crate) fn new(snap: EngineSnapshot) -> io::Result<Base> {
+        let meta = snap.meta();
         let terms = Arc::new(snap.terms()?);
         let index = if meta.stage >= Stage::Index {
             let layout = if snap.has_compressed_index() {
@@ -175,21 +132,6 @@ impl ServeState {
             Some((layout, snap.decode_df()?))
         } else {
             None
-        };
-        let (coords, assignments, cluster_labels, cluster_sizes) = if meta.stage == Stage::Final {
-            let dims = meta.projection_dims;
-            let coordnd = snap.store().require("coordnd")?.as_f64s()?;
-            let coords: Vec<(f64, f64)> = coordnd.chunks(dims).map(|r| (r[0], r[1])).collect();
-            let assignments = snap.store().require("assign")?.as_u32s()?.to_vec();
-            let cluster_sizes = snap.store().require("csize")?.as_u64s()?.to_vec();
-            (
-                Some(coords),
-                Some(assignments),
-                snap.labels()?,
-                cluster_sizes,
-            )
-        } else {
-            (None, None, Vec::new(), Vec::new())
         };
         let ann = if snap.has_ann() {
             let m = meta.m_dims;
@@ -203,49 +145,24 @@ impl ServeState {
             Some(AnnState {
                 sums: ann::code_sums(codes, m),
                 rows,
-                seg_docs: Vec::new(),
-                seg_sigs: Vec::new(),
             })
         } else {
             None
         };
-        Ok(ServeState {
-            meta,
+        Ok(Base {
             terms,
             index,
-            coords,
-            assignments,
-            cluster_labels,
-            cluster_sizes,
             snap,
             ann,
-            live: None,
-            generation: 0,
-            last_seal_unix: 0,
-            ingest_dir: None,
         })
     }
 
-    /// Does this snapshot hold an inverted index (term/boolean/search)?
-    pub fn has_index(&self) -> bool {
-        self.index.is_some()
+    pub(crate) fn meta(&self) -> &EngineMeta {
+        self.snap.meta()
     }
 
-    /// Number of ingest segments merged into this view (0 for plain
-    /// snapshot serving).
-    pub fn segments_open(&self) -> usize {
-        self.live.as_ref().map_or(0, |l| l.segments_open())
-    }
-
-    /// Does this snapshot hold clustering + projection (cluster/rect)?
-    pub fn has_layout(&self) -> bool {
-        self.coords.is_some() && self.assignments.is_some()
-    }
-
-    /// Borrow the underlying validated snapshot (postings directory,
-    /// section sizes — what benches and diagnostics need).
-    pub fn snapshot(&self) -> &EngineSnapshot {
-        &self.snap
+    pub(crate) fn terms(&self) -> &TermTable {
+        &self.terms
     }
 
     /// Borrow a section validated at open. Sections were checked for
@@ -270,18 +187,12 @@ impl ServeState {
             .expect("section kind validated at open")
     }
 
-    /// Does this snapshot carry the IVF + quantized-signature sections
-    /// (`/similar` queries)?
-    pub fn has_ann(&self) -> bool {
-        self.ann.is_some()
-    }
-
     /// Assemble the borrowed ANN view over the snapshot's validated
     /// sections plus the precomputed code sums.
     fn ann_view<'a>(&'a self, ann: &'a AnnState) -> AnnIndexView<'a> {
-        let m = self.meta.m_dims;
+        let m = self.meta().m_dims;
         AnnIndexView {
-            k: self.meta.k,
+            k: self.meta().k,
             m,
             centroids: self.f64s("centroid"),
             ivfoff: self
@@ -313,188 +224,55 @@ impl ServeState {
         }
     }
 
-    /// Is `doc` tombstoned by the live overlay?
-    pub fn is_deleted(&self, doc: u32) -> bool {
-        self.live.as_ref().is_some_and(|l| l.is_deleted(doc))
-    }
-
-    /// Exact signature of a document: base documents read their `sigs`
-    /// row, live-segment documents their reconstructed row. `None` for
-    /// unknown doc ids or when the snapshot has no ANN sections.
-    pub fn doc_signature(&self, doc: u32) -> Option<&[f64]> {
-        let ann = self.ann.as_ref()?;
-        let m = self.meta.m_dims;
-        if (doc as usize) < self.meta.total_docs as usize {
-            let sigs = self.f64s("sigs");
-            return Some(&sigs[doc as usize * m..(doc as usize + 1) * m]);
-        }
-        let i = ann.seg_docs.binary_search(&doc).ok()?;
-        Some(&ann.seg_sigs[i * m..(i + 1) * m])
-    }
-
-    /// Embed free text into signature space: tokenize, map tokens onto
-    /// major-term association rows, and combine them exactly like the
-    /// engine's signature stage ([`ann::embed_rows`]). Rows accumulate
-    /// in ascending row order so the float sum is deterministic. `None`
-    /// when the snapshot has no ANN sections.
-    pub fn embed_text(&self, text: &str) -> Option<Vec<f64>> {
-        let ann = self.ann.as_ref()?;
-        let tokenizer = inspire_core::tokenize::Tokenizer::default();
-        let mut freqs: HashMap<usize, f64> = HashMap::new();
-        tokenizer.tokenize_into(text, |t| {
-            if let Some(&r) = ann.rows.get(t) {
-                *freqs.entry(r).or_insert(0.0) += 1.0;
-            }
-        });
-        let mut pairs: Vec<(usize, f64)> = freqs.into_iter().collect();
-        pairs.sort_unstable_by_key(|&(r, _)| r);
-        Some(ann::embed_rows(
-            pairs.into_iter(),
-            self.f64s("assoc"),
-            self.meta.m_dims,
-        ))
-    }
-
-    /// IVF similarity search over the base snapshot, merged with a
-    /// brute-force scan of any live-segment signatures and filtered for
-    /// tombstones. Returns the top hits (exact `f64` cosine, score
-    /// descending then doc ascending) plus the probe/candidate
-    /// counters. Empty when the snapshot has no ANN sections.
-    pub fn similar(&self, query: &[f64], top: usize, nprobe: usize) -> (Vec<Hit>, SearchStats) {
-        let mut stats = SearchStats::default();
+    /// Reconstruct `/similar` signatures (`doc_count × m`, local doc
+    /// order) for a live segment's documents: per-term
+    /// frequency-weighted association rows, L1-normalized — the same
+    /// semantics as the engine's signature stage, rebuilt from segment
+    /// postings because segments carry no signature sections. Empty when
+    /// the base has no ANN sections.
+    pub(crate) fn segment_signatures(&self, seg: &Segment) -> Vec<f64> {
         let Some(ann) = &self.ann else {
-            return (Vec::new(), stats);
+            return Vec::new();
         };
-        let tombs: &[u32] = self.live.as_ref().map_or(&[], |l| l.tombstones());
-        // Over-fetch by the tombstone count: deletions can knock at most
-        // that many hits out of any top list.
-        let fetch = top + tombs.len();
-        let view = self.ann_view(ann);
-        let mut hits = ann::search(&view, query, fetch, nprobe, &mut stats);
-        if !ann.seg_docs.is_empty() {
-            let m = self.meta.m_dims;
-            stats.candidates += ann.seg_docs.len();
-            let seg_hits = ann::exhaustive(&ann.seg_sigs, m, query, fetch);
-            hits.extend(seg_hits.into_iter().map(|h| Hit {
-                doc: ann.seg_docs[h.doc as usize],
-                score: h.score,
-            }));
-        }
-        if !tombs.is_empty() {
-            hits.retain(|h| tombs.binary_search(&h.doc).is_err());
-        }
-        hits.sort_by(|a, b| {
-            b.score
-                .partial_cmp(&a.score)
-                .unwrap()
-                .then(a.doc.cmp(&b.doc))
-        });
-        hits.truncate(top);
-        (hits, stats)
-    }
-
-    /// Reconstruct signatures for live-segment documents so `/similar`
-    /// can brute-force them (segments carry postings but no signature
-    /// sections). Called by [`crate::live::load_live_state`] once the
-    /// segments are open; a no-op when the base has no ANN sections.
-    pub(crate) fn attach_segment_signatures(&mut self, segments: &[inspire_ingest::Segment]) {
-        let Some(ann) = &self.ann else { return };
-        let m = self.meta.m_dims;
+        let m = self.meta().m_dims;
         let assoc = self.f64s("assoc");
-        let mut seg_docs: Vec<u32> = Vec::new();
-        let mut seg_sigs: Vec<f64> = Vec::new();
+        let base = seg.doc_base();
+        let count = seg.doc_count() as usize;
+        let mut sigs = vec![0.0; count * m];
         let mut posts: Vec<Posting> = Vec::new();
-        for seg in segments {
-            let base = seg.doc_base();
-            let count = seg.doc_count() as usize;
-            let off = seg_sigs.len();
-            seg_docs.extend(base..seg.doc_end());
-            seg_sigs.resize(off + count * m, 0.0);
-            for (local, term) in seg.terms().iter().enumerate() {
-                let Some(&row) = ann.rows.get(term) else {
-                    continue;
-                };
-                let arow = &assoc[row * m..(row + 1) * m];
-                posts.clear();
-                seg.postings_into(local as u32, &mut posts);
-                // Summing per-(doc, field) postings weights each term by
-                // its doc-total frequency — the signature-stage rule.
-                for p in &posts {
-                    let d = (p.doc - base) as usize;
-                    let sig = &mut seg_sigs[off + d * m..off + (d + 1) * m];
-                    let w = p.freq as f64;
-                    for (s, &a) in sig.iter_mut().zip(arow) {
-                        *s += w * a;
-                    }
-                }
-            }
-            for d in 0..count {
-                let sig = &mut seg_sigs[off + d * m..off + (d + 1) * m];
-                let l1: f64 = sig.iter().map(|x| x.abs()).sum();
-                if l1 > 0.0 {
-                    for s in sig.iter_mut() {
-                        *s /= l1;
-                    }
+        for (local, term) in seg.terms().iter().enumerate() {
+            let Some(&row) = ann.rows.get(term) else {
+                continue;
+            };
+            let arow = &assoc[row * m..(row + 1) * m];
+            posts.clear();
+            seg.postings_into(local as u32, &mut posts);
+            // Summing per-(doc, field) postings weights each term by its
+            // doc-total frequency — the signature-stage rule.
+            for p in &posts {
+                let d = (p.doc - base) as usize;
+                let w = p.freq as f64;
+                for (s, &a) in sigs[d * m..(d + 1) * m].iter_mut().zip(arow) {
+                    *s += w * a;
                 }
             }
         }
-        let ann = self.ann.as_mut().expect("checked above");
-        ann.seg_docs = seg_docs;
-        ann.seg_sigs = seg_sigs;
-    }
-}
-
-impl SearchIndex for ServeState {
-    fn term_id(&self, term: &str) -> Option<TermId> {
-        self.terms.position(term).map(|i| i as TermId)
-    }
-
-    fn postings_of(&self, term: TermId) -> Vec<Posting> {
-        let mut out = Vec::new();
-        self.postings_into(term, &mut out);
-        out
-    }
-
-    fn postings_into(&self, term: TermId, out: &mut Vec<Posting>) {
-        decode_timed(|| {
-            if let Some(live) = &self.live {
-                live.postings_into(self, term, out);
-                return;
+        for d in 0..count {
+            let sig = &mut sigs[d * m..(d + 1) * m];
+            let l1: f64 = sig.iter().map(|x| x.abs()).sum();
+            if l1 > 0.0 {
+                for s in sig.iter_mut() {
+                    *s /= l1;
+                }
             }
-            self.base_postings_into(term, out);
-        })
-    }
-
-    fn postings_from(&self, term: TermId, min_doc: u32, out: &mut Vec<Posting>) {
-        decode_timed(|| {
-            if let Some(live) = &self.live {
-                live.postings_from(self, term, min_doc, out);
-                return;
-            }
-            self.base_postings_from(term, min_doc, out);
-        })
-    }
-
-    fn df(&self, term: TermId) -> u32 {
-        match &self.live {
-            Some(live) => live.df(term),
-            None => self.base_df(term),
         }
+        sigs
     }
 
-    fn total_docs(&self) -> u32 {
-        match &self.live {
-            Some(live) => live.total_docs(),
-            None => self.meta.total_docs,
-        }
-    }
-}
-
-impl ServeState {
-    /// Postings of a **base-local** term id, straight from the owned
-    /// snapshot (ignoring any live overlay). The overlay calls this for
-    /// the base component of a merged list.
-    pub(crate) fn base_postings_into(&self, term: TermId, out: &mut Vec<Posting>) {
+    /// Postings of a **base-local** term id, straight from the snapshot.
+    /// The live overlay calls this for the base component of a merged
+    /// list.
+    pub(crate) fn postings_into(&self, term: TermId, out: &mut Vec<Posting>) {
         let Some((layout, _)) = &self.index else {
             return;
         };
@@ -530,7 +308,7 @@ impl ServeState {
     }
 
     /// Lower-bounded postings of a **base-local** term id.
-    pub(crate) fn base_postings_from(&self, term: TermId, min_doc: u32, out: &mut Vec<Posting>) {
+    pub(crate) fn postings_from(&self, term: TermId, min_doc: u32, out: &mut Vec<Posting>) {
         let Some((layout, _)) = &self.index else {
             return;
         };
@@ -563,19 +341,17 @@ impl ServeState {
                 // Decode + sort the full list, then drop the sorted
                 // prefix below `min_doc`.
                 let from = out.len();
-                self.base_postings_into(term, out);
+                self.postings_into(term, out);
                 let below = out[from..].partition_point(|p| p.doc < min_doc);
                 out.drain(from..from + below);
             }
         }
     }
 
-    /// Document frequency of a **base-local** term id.
-    pub(crate) fn base_df(&self, term: TermId) -> u32 {
-        match &self.index {
-            Some((_, df)) => df[term as usize],
-            None => 0,
-        }
+    /// Per-term document frequency, indexed by **base-local** term id
+    /// (empty when the snapshot has no index).
+    pub(crate) fn df(&self) -> &[u32] {
+        self.index.as_ref().map_or(&[], |(_, df)| df)
     }
 
     fn legacy_offsets(&self) -> &[i64] {
@@ -594,5 +370,251 @@ impl ServeState {
             .expect("section validated at open")
             .as_u64s()
             .expect("section kind validated at open")
+    }
+}
+
+/// Immutable, shareable query-serving state from one engine snapshot.
+///
+/// A shared `Base` (the snapshot and its query-serving derivations) plus
+/// this state's own fields: the snapshot metadata, the Final-stage
+/// layout — the projected coordinates, cluster assignments, labels, and
+/// sizes — the vocabulary it serves, and, for live serving, the
+/// generation overlay.
+pub struct ServeState {
+    base: Arc<Base>,
+    /// Snapshot metadata (stage, fingerprints, corpus shape).
+    pub meta: EngineMeta,
+    /// Canonical sorted vocabulary.
+    pub terms: Arc<TermTable>,
+    /// 2-D document coordinates (Final stage only).
+    pub coords: Option<Vec<(f64, f64)>>,
+    /// Cluster assignment per document (Final stage only).
+    pub assignments: Option<Vec<u32>>,
+    /// Topic labels per cluster (Final stage only).
+    pub cluster_labels: Vec<Vec<String>>,
+    /// Documents per cluster (Final stage only).
+    pub cluster_sizes: Vec<u64>,
+    /// Merge-on-read overlay: ingest segments unioned with the base
+    /// snapshot at query time. `None` for plain snapshot serving. When
+    /// set, `terms` is the merged vocabulary and every [`SearchIndex`]
+    /// method routes through the overlay.
+    pub(crate) live: Option<crate::live::LiveIndex>,
+    /// Ingest-manifest generation this state was built from (0 for
+    /// plain snapshots).
+    pub generation: u64,
+    /// `last_seal_unix` of the manifest (0 for plain snapshots).
+    pub last_seal_unix: u64,
+    /// The ingest directory this state was built from, when live
+    /// serving ([`crate::live::load_live_state`]); lets `/metrics`
+    /// compute WAL backlog gauges and read the ingest metrics sidecar.
+    pub ingest_dir: Option<PathBuf>,
+}
+
+impl ServeState {
+    /// Open `path`, verify it (every checksum, via [`EngineSnapshot`]),
+    /// and build the serving state. The snapshot may have been written
+    /// at any processor count; queries read only partition-independent
+    /// state.
+    pub fn load(path: &Path) -> io::Result<ServeState> {
+        Self::from_snapshot(EngineSnapshot::open(path)?)
+    }
+
+    /// Build serving state over an already opened snapshot.
+    pub fn from_snapshot(snap: EngineSnapshot) -> io::Result<ServeState> {
+        Self::over(Arc::new(Base::new(snap)?))
+    }
+
+    /// A plain-snapshot state over a (possibly shared) base, with the
+    /// Final-stage layout decoded from its snapshot.
+    pub(crate) fn over(base: Arc<Base>) -> io::Result<ServeState> {
+        let (coords, assignments, cluster_labels, cluster_sizes) =
+            if base.meta().stage == Stage::Final {
+                let dims = base.meta().projection_dims;
+                let coordnd = base.snap.store().require("coordnd")?.as_f64s()?;
+                let coords: Vec<(f64, f64)> = coordnd.chunks(dims).map(|r| (r[0], r[1])).collect();
+                let assignments = base.snap.store().require("assign")?.as_u32s()?.to_vec();
+                let cluster_sizes = base.snap.store().require("csize")?.as_u64s()?.to_vec();
+                (
+                    Some(coords),
+                    Some(assignments),
+                    base.snap.labels()?,
+                    cluster_sizes,
+                )
+            } else {
+                (None, None, Vec::new(), Vec::new())
+            };
+        Ok(ServeState {
+            meta: base.meta().clone(),
+            terms: Arc::clone(&base.terms),
+            coords,
+            assignments,
+            cluster_labels,
+            cluster_sizes,
+            base,
+            live: None,
+            generation: 0,
+            last_seal_unix: 0,
+            ingest_dir: None,
+        })
+    }
+
+    /// Does this snapshot hold an inverted index (term/boolean/search)?
+    pub fn has_index(&self) -> bool {
+        self.base.index.is_some()
+    }
+
+    /// Number of ingest segments merged into this view (0 for plain
+    /// snapshot serving).
+    pub fn segments_open(&self) -> usize {
+        self.live.as_ref().map_or(0, |l| l.segments_open())
+    }
+
+    /// Components (the base and each segment) this live view took from
+    /// an earlier generation that was still alive instead of reading and
+    /// verifying them again (0 for plain snapshot serving).
+    pub fn components_reused(&self) -> usize {
+        self.live.as_ref().map_or(0, |l| l.reused())
+    }
+
+    /// Does this snapshot hold clustering + projection (cluster/rect)?
+    pub fn has_layout(&self) -> bool {
+        self.coords.is_some() && self.assignments.is_some()
+    }
+
+    /// Borrow the underlying validated snapshot (postings directory,
+    /// section sizes — what benches and diagnostics need). Every
+    /// generation built over the same base returns the same snapshot.
+    pub fn snapshot(&self) -> &EngineSnapshot {
+        &self.base.snap
+    }
+
+    /// Does this snapshot carry the IVF + quantized-signature sections
+    /// (`/similar` queries)?
+    pub fn has_ann(&self) -> bool {
+        self.base.ann.is_some()
+    }
+
+    /// Is `doc` tombstoned by the live overlay?
+    pub fn is_deleted(&self, doc: u32) -> bool {
+        self.live.as_ref().is_some_and(|l| l.is_deleted(doc))
+    }
+
+    /// Exact signature of a document: base documents read their `sigs`
+    /// row, live-segment documents their reconstructed row. `None` for
+    /// unknown doc ids or when the snapshot has no ANN sections.
+    pub fn doc_signature(&self, doc: u32) -> Option<&[f64]> {
+        self.base.ann.as_ref()?;
+        let m = self.base.meta().m_dims;
+        let doc = doc as usize;
+        if doc < self.base.meta().total_docs as usize {
+            return Some(&self.base.f64s("sigs")[doc * m..(doc + 1) * m]);
+        }
+        let seg = self.live.as_ref()?.segment_of(doc as u32)?;
+        let d = doc - seg.doc_base() as usize;
+        Some(&seg.signatures()[d * m..(d + 1) * m])
+    }
+
+    /// Embed free text into signature space: tokenize, map tokens onto
+    /// major-term association rows, and combine them exactly like the
+    /// engine's signature stage ([`ann::embed_rows`]). Rows accumulate
+    /// in ascending row order so the float sum is deterministic. `None`
+    /// when the snapshot has no ANN sections.
+    pub fn embed_text(&self, text: &str) -> Option<Vec<f64>> {
+        let ann = self.base.ann.as_ref()?;
+        let tokenizer = inspire_core::tokenize::Tokenizer::default();
+        let mut freqs: HashMap<usize, f64> = HashMap::new();
+        tokenizer.tokenize_into(text, |t| {
+            if let Some(&r) = ann.rows.get(t) {
+                *freqs.entry(r).or_insert(0.0) += 1.0;
+            }
+        });
+        let mut pairs: Vec<(usize, f64)> = freqs.into_iter().collect();
+        pairs.sort_unstable_by_key(|&(r, _)| r);
+        Some(ann::embed_rows(
+            pairs.into_iter(),
+            self.base.f64s("assoc"),
+            self.base.meta().m_dims,
+        ))
+    }
+
+    /// IVF similarity search over the base snapshot, merged with a
+    /// brute-force scan of each live segment's signatures and filtered
+    /// for tombstones. Returns the top hits (exact `f64` cosine, score
+    /// descending then doc ascending) plus the probe/candidate
+    /// counters. Empty when the snapshot has no ANN sections.
+    pub fn similar(&self, query: &[f64], top: usize, nprobe: usize) -> (Vec<Hit>, SearchStats) {
+        let mut stats = SearchStats::default();
+        let Some(ann) = &self.base.ann else {
+            return (Vec::new(), stats);
+        };
+        let tombs: &[u32] = self.live.as_ref().map_or(&[], |l| l.tombstones());
+        // Over-fetch by the tombstone count: deletions can knock at most
+        // that many hits out of any top list.
+        let fetch = top + tombs.len();
+        let view = self.base.ann_view(ann);
+        let mut hits = ann::search(&view, query, fetch, nprobe, &mut stats);
+        let m = self.base.meta().m_dims;
+        for seg in self.live.iter().flat_map(|l| l.segments()) {
+            // Each segment's top `fetch` contains its share of the
+            // global top `fetch`, so the per-segment scans merge exactly.
+            stats.candidates += seg.doc_count() as usize;
+            let seg_hits = ann::exhaustive(seg.signatures(), m, query, fetch);
+            hits.extend(seg_hits.into_iter().map(|h| Hit {
+                doc: seg.doc_base() + h.doc,
+                score: h.score,
+            }));
+        }
+        if !tombs.is_empty() {
+            hits.retain(|h| tombs.binary_search(&h.doc).is_err());
+        }
+        hits.sort_by(|a, b| {
+            b.score
+                .partial_cmp(&a.score)
+                .unwrap()
+                .then(a.doc.cmp(&b.doc))
+        });
+        hits.truncate(top);
+        (hits, stats)
+    }
+}
+
+impl SearchIndex for ServeState {
+    fn term_id(&self, term: &str) -> Option<TermId> {
+        self.terms.position(term).map(|i| i as TermId)
+    }
+
+    fn postings_of(&self, term: TermId) -> Vec<Posting> {
+        let mut out = Vec::new();
+        self.postings_into(term, &mut out);
+        out
+    }
+
+    fn postings_into(&self, term: TermId, out: &mut Vec<Posting>) {
+        decode_timed(|| match &self.live {
+            Some(live) => live.postings_into(&self.base, term, out),
+            None => self.base.postings_into(term, out),
+        })
+    }
+
+    fn postings_from(&self, term: TermId, min_doc: u32, out: &mut Vec<Posting>) {
+        decode_timed(|| match &self.live {
+            Some(live) => live.postings_from(&self.base, term, min_doc, out),
+            None => self.base.postings_from(term, min_doc, out),
+        })
+    }
+
+    fn df(&self, term: TermId) -> u32 {
+        match &self.live {
+            Some(live) => live.df(term),
+            None if self.has_index() => self.base.df()[term as usize],
+            None => 0,
+        }
+    }
+
+    fn total_docs(&self) -> u32 {
+        match &self.live {
+            Some(live) => live.total_docs(),
+            None => self.meta.total_docs,
+        }
     }
 }

@@ -417,7 +417,14 @@ pub struct Snapshot {
 impl Snapshot {
     /// Open and fully validate a snapshot file.
     pub fn open(path: &Path) -> io::Result<Snapshot> {
-        let mut f = std::fs::File::open(path)?;
+        Self::read_file(std::fs::File::open(path)?, path)
+    }
+
+    /// Read and fully validate a snapshot from a file already opened at
+    /// `path` (which names the source in error messages). Callers that
+    /// key a cache by the identity of the file the bytes came from
+    /// `fstat` the handle, then hand it here.
+    pub fn read_file(mut f: std::fs::File, path: &Path) -> io::Result<Snapshot> {
         let file_len = f.metadata()?.len() as usize;
         let mut buf = vec![0u64; file_len.div_ceil(8)];
         f.read_exact(&mut as_bytes_mut(&mut buf)[..file_len])?;

@@ -650,11 +650,18 @@ fn serve_cmd(args: &Args) {
             if ticks.is_multiple_of(10) {
                 if let Some(generation) = inspire_ingest::peek_generation(dir) {
                     if generation != server.generation() {
+                        let started = std::time::Instant::now();
                         match inspire_serve::load_live_state(dir) {
                             Ok(next) => {
-                                let seg = next.segments_open();
+                                let line = format!(
+                                    "generation {} live ({} segments, {} reused, {:.1} ms)",
+                                    next.generation,
+                                    next.segments_open(),
+                                    next.components_reused(),
+                                    started.elapsed().as_secs_f64() * 1e3
+                                );
                                 server.swap_state(Arc::new(next));
-                                println!("generation {generation} live ({seg} segments)");
+                                println!("{line}");
                             }
                             Err(e) => eprintln!("generation {generation} reload failed: {e}"),
                         }

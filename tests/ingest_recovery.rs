@@ -355,3 +355,173 @@ fn tombstones_hide_deleted_docs_across_compaction() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A logical corpus prefix: the first `n` sources of `set`.
+fn prefix(set: &SourceSet, n: usize) -> SourceSet {
+    SourceSet {
+        sources: set.sources[..n].to_vec(),
+    }
+}
+
+/// `/similar` by a document and by free text: the requests whose
+/// answers read reconstructed segment signatures.
+fn similar_requests(state: &ServeState) -> Vec<ServeRequest> {
+    vec![
+        ServeRequest::Similar {
+            doc: Some(state.total_docs() - 1),
+            text: None,
+            top: 10,
+            nprobe: 4,
+        },
+        ServeRequest::Similar {
+            doc: None,
+            text: Some(state.terms.get(state.terms.len() / 3).to_string()),
+            top: 10,
+            nprobe: 4,
+        },
+    ]
+}
+
+/// Flip one byte of a section payload (the first section starts right
+/// after the 64-byte container header).
+fn corrupt(bytes: &mut [u8]) {
+    bytes[64] ^= 0x5a;
+}
+
+fn assert_checksum_error(res: std::io::Result<ServeState>, what: &str) {
+    let err = match res {
+        Ok(_) => panic!("{what}: a corrupted segment loaded"),
+        Err(e) => e,
+    };
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{what}: {err}");
+    assert!(
+        err.to_string().contains("checksum mismatch"),
+        "{what}: not a checksum error: {err}"
+    );
+}
+
+/// A reload shares the base and every segment a live generation holds:
+/// generation g+1 reads only its new segment, g keeps answering the same
+/// bytes, and both match clean rebuilds of their logical corpora.
+#[test]
+fn live_generations_share_verified_components() {
+    let dir = tmp_dir("share");
+    let set = CorpusSpec::pubmed(96 * 1024, 31).generate();
+    let n = set.sources.len();
+    let half = n / 2;
+    assert!(n - half >= 2, "need at least 2 sources to append");
+    let base_path = dir.join("base.isnap");
+    build_snapshot(&prefix(&set, half), &base_path, 1);
+    let live = dir.join("live");
+    let mut ing = IngestDir::create(&live, Some(&base_path)).expect("create");
+    for src in &set.sources[half..n - 1] {
+        ing.append(src.clone()).expect("append");
+    }
+
+    let g = load_live_state(&live).expect("generation g");
+    assert_eq!(g.components_reused(), 0, "nothing was alive before g");
+    let mut g_requests = build_requests(&g);
+    g_requests.extend(similar_requests(&g));
+    let g_bodies = bodies(&g, &g_requests);
+
+    ing.append(set.sources[n - 1].clone()).expect("append");
+    let next = load_live_state(&live).expect("generation g+1");
+    assert!(next.generation > g.generation);
+    assert!(
+        std::ptr::eq(g.snapshot(), next.snapshot()),
+        "g+1 re-read the base snapshot g holds"
+    );
+    assert_eq!(next.segments_open(), g.segments_open() + 1);
+    assert_eq!(
+        next.components_reused(),
+        1 + g.segments_open(),
+        "g+1 must reuse the base and every segment of g"
+    );
+    assert_eq!(
+        bodies(&g, &g_requests),
+        g_bodies,
+        "g changed its answers when g+1 loaded"
+    );
+    bodies(&next, &similar_requests(&next));
+    // Every segment document's reconstructed signature finds the
+    // document itself, in the generation that read the segment and in
+    // the one that shares it.
+    for state in [&g, &next] {
+        for doc in state.meta.total_docs..g.total_docs() {
+            let sig = state.doc_signature(doc).expect("segment doc signature");
+            if sig.iter().all(|&x| x == 0.0) {
+                continue;
+            }
+            let (hits, _) = state.similar(sig, 3, 4);
+            assert!(
+                hits.iter().any(|h| h.doc == doc && h.score > 1.0 - 1e-9),
+                "doc {doc} does not find itself: {hits:?}"
+            );
+        }
+    }
+
+    let next_requests = build_requests(&next);
+    let next_bodies = bodies(&next, &next_requests);
+    let g_index_requests = build_requests(&g);
+    let g_index_bodies = bodies(&g, &g_index_requests);
+    for procs in [1usize, 4] {
+        let g_clean = dir.join(format!("g-p{procs}.isnap"));
+        build_snapshot(&prefix(&set, n - 1), &g_clean, procs);
+        let g_clean = ServeState::load(&g_clean).expect("clean load");
+        assert_eq!(
+            bodies(&g_clean, &g_index_requests),
+            g_index_bodies,
+            "g diverged from its P={procs} rebuild"
+        );
+        let next_clean = dir.join(format!("next-p{procs}.isnap"));
+        build_snapshot(&set, &next_clean, procs);
+        let next_clean = ServeState::load(&next_clean).expect("clean load");
+        assert_eq!(
+            bodies(&next_clean, &next_requests),
+            next_bodies,
+            "g+1 diverged from its P={procs} rebuild"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Sharing never serves bytes that were not verified: once every state
+/// is dropped a load reads everything again, and a segment replaced
+/// through tmp+rename while a state holds the old one is read again.
+#[test]
+fn reload_verifies_what_it_does_not_share() {
+    let dir = tmp_dir("verify");
+    let set = CorpusSpec::pubmed(64 * 1024, 37).generate();
+    let half = set.sources.len() / 2;
+    let base_path = dir.join("base.isnap");
+    build_snapshot(&prefix(&set, half), &base_path, 1);
+    let live = dir.join("live");
+    let mut ing = IngestDir::create(&live, Some(&base_path)).expect("create");
+    for src in &set.sources[half..half + 2] {
+        ing.append(src.clone()).expect("append");
+    }
+    let seg_path = live.join(&ing.manifest().segments[0].file);
+    drop(ing);
+    let pristine = std::fs::read(&seg_path).expect("read segment");
+    let mut bad = pristine.clone();
+    corrupt(&mut bad);
+
+    // All states dropped: a byte flipped in place is caught.
+    drop(load_live_state(&live).expect("clean load"));
+    std::fs::write(&seg_path, &bad).unwrap();
+    assert_checksum_error(load_live_state(&live), "cold load");
+    std::fs::write(&seg_path, &pristine).unwrap();
+
+    // A state is alive, then the segment is replaced by corrupt bytes
+    // through tmp+rename: the reload reads the new file and fails.
+    let alive = load_live_state(&live).expect("clean load");
+    assert_eq!(alive.components_reused(), 0, "every state was dropped");
+    let requests = build_requests(&alive);
+    let before = bodies(&alive, &requests);
+    let tmp = seg_path.with_extension("iseg.tmp");
+    std::fs::write(&tmp, &bad).unwrap();
+    std::fs::rename(&tmp, &seg_path).unwrap();
+    assert_checksum_error(load_live_state(&live), "reload after replace");
+    assert_eq!(bodies(&alive, &requests), before);
+    let _ = std::fs::remove_dir_all(&dir);
+}
