@@ -13,8 +13,11 @@
 //! - the row's column count is checked against the header before
 //!   anything is written, so a schema drift in a bench binary fails
 //!   loudly instead of corrupting the history.
+//!
+//! The rewritten file is published through
+//! [`inspire_store::publish_atomic`], so a crash leaves the old history.
 
-use std::io;
+use std::io::{self, Write};
 use std::path::Path;
 
 /// Title line every history file starts with.
@@ -110,11 +113,7 @@ pub fn append_row(path: &Path, table: &HistoryTable<'_>, row: &str) -> io::Resul
         }
     };
 
-    // Single atomic-ish rewrite: the file is small (tens of rows) and
-    // only ever touched by one bench process at a time.
-    let tmp = path.with_extension("md.tmp");
-    std::fs::write(&tmp, new_text)?;
-    std::fs::rename(&tmp, path)
+    inspire_store::publish_atomic(path, |f| f.write_all(new_text.as_bytes()))
 }
 
 #[cfg(test)]

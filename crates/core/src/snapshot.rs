@@ -27,7 +27,7 @@ use crate::topicality::TopicSelection;
 use crate::{DocId, TermId};
 use corpus::SourceSet;
 use ga::{DistHashMap, GlobalArray, GlobalArray2D};
-use inspire_store::{codec, Snapshot, SnapshotWriter};
+use inspire_store::{codec, publish_atomic, Snapshot, SnapshotWriter};
 use intern::TermTable;
 use spmd::Ctx;
 use std::io;
@@ -191,9 +191,10 @@ pub struct SnapshotInput<'a> {
 }
 
 /// Write an engine snapshot. Collective: all ranks participate in the
-/// gathers; rank 0 writes `path` (atomically, via a temp file + rename)
-/// and returns the report. The write is fenced by a barrier, so on
-/// return every rank may rely on the file existing.
+/// gathers; rank 0 publishes `path` through
+/// [`inspire_store::publish_atomic`] and returns the report. The write
+/// is fenced by a barrier, so on return every rank may rely on the file
+/// existing.
 pub fn write_engine_snapshot(
     ctx: &Ctx,
     path: &Path,
@@ -294,98 +295,98 @@ pub fn write_engine_snapshot(
             segoff.push(at);
             let rankio: Vec<u64> = rankio.as_ref().unwrap().concat();
 
-            let tmp = path.with_extension("isnap.tmp");
-            let mut w = SnapshotWriter::create(&tmp)?;
-            w.add_u64s("meta", &meta)?;
-            w.add_u64s("docbase", &docbase)?;
-            w.add_bytes("terms", scan.terms.arena_bytes())?;
-            w.add_u32s("termoff", scan.terms.offsets())?;
-            w.add_u32s("doctok", &doctok)?;
-            w.add_u64s("segoff", &segoff)?;
-            w.add_u32s("segfld", &segfld)?;
-            w.add_u32s("seglen", &seglen)?;
-            w.add_i64s("fwdoff", &fwdoff)?;
-            w.add_u64s("fwddat", &fwddat)?;
-            w.add_u64s("rankio", &rankio)?;
+            let stats = publish_atomic(path, |f| {
+                let mut w = SnapshotWriter::new(f)?;
+                w.add_u64s("meta", &meta)?;
+                w.add_u64s("docbase", &docbase)?;
+                w.add_bytes("terms", scan.terms.arena_bytes())?;
+                w.add_u32s("termoff", scan.terms.offsets())?;
+                w.add_u32s("doctok", &doctok)?;
+                w.add_u64s("segoff", &segoff)?;
+                w.add_u32s("segfld", &segfld)?;
+                w.add_u32s("seglen", &seglen)?;
+                w.add_i64s("fwdoff", &fwdoff)?;
+                w.add_u64s("fwddat", &fwddat)?;
+                w.add_u64s("rankio", &rankio)?;
 
-            if let Some(idx) = inp.index {
-                let enc = encode_index_sections(
-                    &idx.offsets,
-                    postdat.as_ref().unwrap(),
-                    &idx.df,
-                    &idx.tf,
-                );
-                w.add_packed("postdir", &enc.dir)?;
-                w.add_packed("postblk", &enc.blk)?;
-                w.add_skips("postskp", &enc.skips)?;
-                w.add_packed("dfv", &enc.dfv)?;
-                w.add_packed("tfv", &enc.tfv)?;
-                let load: Vec<u64> = idx
-                    .load
-                    .iter()
-                    .flat_map(|l| {
-                        [
-                            l.own_tasks as u64,
-                            l.stolen_tasks as u64,
-                            l.postings,
-                            l.seconds.to_bits(),
-                        ]
-                    })
-                    .collect();
-                w.add_u64s("load", &load)?;
-            }
+                if let Some(idx) = inp.index {
+                    let enc = encode_index_sections(
+                        &idx.offsets,
+                        postdat.as_ref().unwrap(),
+                        &idx.df,
+                        &idx.tf,
+                    );
+                    w.add_packed("postdir", &enc.dir)?;
+                    w.add_packed("postblk", &enc.blk)?;
+                    w.add_skips("postskp", &enc.skips)?;
+                    w.add_packed("dfv", &enc.dfv)?;
+                    w.add_packed("tfv", &enc.tfv)?;
+                    let load: Vec<u64> = idx
+                        .load
+                        .iter()
+                        .flat_map(|l| {
+                            [
+                                l.own_tasks as u64,
+                                l.stolen_tasks as u64,
+                                l.postings,
+                                l.seconds.to_bits(),
+                            ]
+                        })
+                        .collect();
+                    w.add_u64s("load", &load)?;
+                }
 
-            if let (Some(t), Some(am), Some(_)) = (inp.topics, inp.am, inp.sigs) {
-                w.add_u32s("major", &t.major)?;
-                w.add_f64s("mscore", &t.scores)?;
-                w.add_u32s("topics", &t.topics)?;
-                w.add_f64s("assoc", &am.values)?;
-                w.add_f64s("sigs", sigdat.as_ref().unwrap())?;
-            }
+                if let (Some(t), Some(am), Some(_)) = (inp.topics, inp.am, inp.sigs) {
+                    w.add_u32s("major", &t.major)?;
+                    w.add_f64s("mscore", &t.scores)?;
+                    w.add_u32s("topics", &t.topics)?;
+                    w.add_f64s("assoc", &am.values)?;
+                    w.add_f64s("sigs", sigdat.as_ref().unwrap())?;
+                }
 
-            if let (Some(cl), Some(labels)) = (inp.clustering, inp.labels) {
-                w.add_u32s("assign", assign.as_ref().unwrap().as_ref().unwrap())?;
-                w.add_f64s("centroid", &cl.centroids)?;
-                w.add_u64s("csize", &cl.sizes)?;
-                w.add_f64s("coordnd", coordnd.as_ref().unwrap().as_ref().unwrap())?;
-                let mut labstr = Vec::new();
-                let mut laboff: Vec<u32> = vec![0];
-                let mut labcnt: Vec<u32> = Vec::with_capacity(labels.len());
-                for cluster in labels {
-                    labcnt.push(cluster.len() as u32);
-                    for term in cluster {
-                        labstr.extend_from_slice(term.as_bytes());
-                        laboff.push(labstr.len() as u32);
+                if let (Some(cl), Some(labels)) = (inp.clustering, inp.labels) {
+                    w.add_u32s("assign", assign.as_ref().unwrap().as_ref().unwrap())?;
+                    w.add_f64s("centroid", &cl.centroids)?;
+                    w.add_u64s("csize", &cl.sizes)?;
+                    w.add_f64s("coordnd", coordnd.as_ref().unwrap().as_ref().unwrap())?;
+                    let mut labstr = Vec::new();
+                    let mut laboff: Vec<u32> = vec![0];
+                    let mut labcnt: Vec<u32> = Vec::with_capacity(labels.len());
+                    for cluster in labels {
+                        labcnt.push(cluster.len() as u32);
+                        for term in cluster {
+                            labstr.extend_from_slice(term.as_bytes());
+                            laboff.push(labstr.len() as u32);
+                        }
+                    }
+                    w.add_bytes("labstr", &labstr)?;
+                    w.add_u32s("laboff", &laboff)?;
+                    w.add_u32s("labcnt", &labcnt)?;
+
+                    // ---- IVF + quantized signature sections (§13) ----
+                    // The k-means centroids double as the IVF coarse
+                    // quantizer; signatures are re-encoded as u8 codes with
+                    // per-signature scale/offset plus an exact f64 norm
+                    // table, grouped into per-centroid lists. Skipped for
+                    // degenerate corpora with no signature dimensions —
+                    // similarity queries are meaningless there.
+                    if let (Some(t), Some(sd)) = (inp.topics, sigdat.as_ref()) {
+                        let m_dims = t.m_dims();
+                        let assign_all = assign.as_ref().unwrap().as_ref().unwrap();
+                        if m_dims > 0 && !assign_all.is_empty() {
+                            let ivf = crate::ann::build_ivf(sd, m_dims, assign_all, cl.k);
+                            w.add_quant("qsig", &ivf.codes, assign_all.len(), m_dims)?;
+                            w.add_f64s("qscale", &ivf.scale)?;
+                            w.add_f64s("qoff", &ivf.offset)?;
+                            w.add_f64s("signrm", &ivf.norm)?;
+                            w.add_u32s("ivfdoc", &ivf.ivfdoc)?;
+                            w.add_u64s("ivfoff", &ivf.ivfoff)?;
+                        }
                     }
                 }
-                w.add_bytes("labstr", &labstr)?;
-                w.add_u32s("laboff", &laboff)?;
-                w.add_u32s("labcnt", &labcnt)?;
 
-                // ---- IVF + quantized signature sections (§13) ----
-                // The k-means centroids double as the IVF coarse
-                // quantizer; signatures are re-encoded as u8 codes with
-                // per-signature scale/offset plus an exact f64 norm
-                // table, grouped into per-centroid lists. Skipped for
-                // degenerate corpora with no signature dimensions —
-                // similarity queries are meaningless there.
-                if let (Some(t), Some(sd)) = (inp.topics, sigdat.as_ref()) {
-                    let m_dims = t.m_dims();
-                    let assign_all = assign.as_ref().unwrap().as_ref().unwrap();
-                    if m_dims > 0 && !assign_all.is_empty() {
-                        let ivf = crate::ann::build_ivf(sd, m_dims, assign_all, cl.k);
-                        w.add_quant("qsig", &ivf.codes, assign_all.len(), m_dims)?;
-                        w.add_f64s("qscale", &ivf.scale)?;
-                        w.add_f64s("qoff", &ivf.offset)?;
-                        w.add_f64s("signrm", &ivf.norm)?;
-                        w.add_u32s("ivfdoc", &ivf.ivfdoc)?;
-                        w.add_u64s("ivfoff", &ivf.ivfoff)?;
-                    }
-                }
-            }
-
-            let stats = w.finish()?;
-            std::fs::rename(&tmp, path)?;
+                w.finish()
+            })?;
             Ok(Some(SnapshotReport {
                 write_seconds: start.elapsed().as_secs_f64(),
                 total_bytes: stats.total_bytes,
@@ -550,8 +551,9 @@ impl PostingsDir {
 /// Publish an already-validated on-disk snapshot (typically a
 /// final-stage checkpoint) to `path` by copying its bytes, so a resumed
 /// run that recomputes nothing still honours
-/// [`crate::EngineConfig::snapshot_out`]. Collective: rank 0 copies via
-/// a temp file + rename, and the barrier fences the rename.
+/// [`crate::EngineConfig::snapshot_out`]. Collective: rank 0 copies
+/// through [`inspire_store::publish_atomic`], and the barrier fences the
+/// publish.
 pub fn republish_snapshot(
     ctx: &Ctx,
     snap: &EngineSnapshot,
@@ -561,9 +563,9 @@ pub fn republish_snapshot(
     if ctx.rank() == 0 {
         result = (|| {
             let start = std::time::Instant::now();
-            let tmp = path.with_extension("isnap.tmp");
-            std::fs::copy(snap.store().source(), &tmp)?;
-            std::fs::rename(&tmp, path)?;
+            publish_atomic(path, |f| {
+                io::copy(&mut std::fs::File::open(snap.store().source())?, f).map(drop)
+            })?;
             Ok(Some(SnapshotReport {
                 write_seconds: start.elapsed().as_secs_f64(),
                 total_bytes: snap.store().total_bytes(),

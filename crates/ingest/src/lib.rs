@@ -152,11 +152,9 @@ impl IngestDir {
         let replay = me.wal.replay()?;
         me.recovery.torn_bytes = replay.torn_bytes;
         me.wal.truncate_to(replay.durable_bytes)?;
-        for (end, rec) in &replay.records {
-            if *end > me.manifest.wal_sealed_bytes {
-                me.seal_record(rec, *end)?;
-                me.recovery.sealed_records += 1;
-            }
+        me.recovery.sealed_records = me.seal_pending(&replay.records)?.len();
+        if me.recovery.sealed_records > 0 {
+            me.store_metrics();
         }
         Ok(me)
     }
@@ -191,11 +189,12 @@ impl IngestDir {
         self.wal.append(rec)
     }
 
-    /// Seal every durable WAL record past the manifest watermark.
-    pub fn seal_pending(&mut self) -> io::Result<Vec<AppendStats>> {
-        let replay = self.wal.replay()?;
+    /// Seal every replayed WAL record past the manifest watermark. The
+    /// metrics sidecar is not written here: each caller stores it once,
+    /// after all of its observations.
+    fn seal_pending(&mut self, records: &[(u64, WalRecord)]) -> io::Result<Vec<AppendStats>> {
         let mut out = Vec::new();
-        for (end, rec) in &replay.records {
+        for (end, rec) in records {
             if *end > self.manifest.wal_sealed_bytes {
                 out.push(self.seal_record(rec, *end)?);
             }
@@ -203,7 +202,8 @@ impl IngestDir {
         Ok(out)
     }
 
-    /// Fold one durable record into a segment and flip the manifest.
+    /// Fold one durable record into a segment and flip the manifest. The
+    /// seal latency is observed but not stored; callers store it.
     fn seal_record(&mut self, rec: &WalRecord, wal_end: u64) -> io::Result<AppendStats> {
         let started = Instant::now();
         let wal_bytes = wal_end - self.manifest.wal_sealed_bytes;
@@ -229,7 +229,6 @@ impl IngestDir {
         self.manifest.store(&self.dir)?;
         let seal_s = started.elapsed().as_secs_f64();
         self.metrics.observe_seconds("seal_latency_seconds", seal_s);
-        self.metrics.store().ok(); // observational: a failed write never fails a seal
         Ok(AppendStats {
             docs: build.doc_count,
             wal_bytes,
@@ -247,7 +246,7 @@ impl IngestDir {
         let t0 = Instant::now();
         self.append_wal(&rec)?;
         let wal_s = t0.elapsed().as_secs_f64();
-        let mut sealed = self.seal_pending()?;
+        let mut sealed = self.seal_pending(&self.wal.replay()?.records)?;
         let mut stats = sealed
             .pop()
             .ok_or_else(|| bad(&self.dir, "appended record did not seal".into()))?;
@@ -269,7 +268,7 @@ impl IngestDir {
         let t0 = Instant::now();
         self.append_wal(&rec)?;
         let wal_s = t0.elapsed().as_secs_f64();
-        let mut sealed = self.seal_pending()?;
+        let mut sealed = self.seal_pending(&self.wal.replay()?.records)?;
         let mut stats = sealed
             .pop()
             .ok_or_else(|| bad(&self.dir, "delete record did not seal".into()))?;
@@ -278,11 +277,16 @@ impl IngestDir {
         Ok(stats)
     }
 
-    /// Record durability-to-visibility latency for one sealed mutation.
+    /// Record durability-to-visibility latency for one sealed mutation
+    /// and store the sidecar with every observation the mutation made.
     fn observe_visibility(&mut self, stats: &AppendStats) {
         self.metrics
             .observe_seconds("time_to_visibility_seconds", stats.wal_s + stats.seal_s);
-        self.metrics.store().ok();
+        self.store_metrics();
+    }
+
+    fn store_metrics(&self) {
+        self.metrics.store().ok(); // observational: a failed write never fails a seal
     }
 
     /// Size and record count of the WAL tail not yet covered by the
@@ -332,6 +336,11 @@ mod tests {
             .unwrap();
         assert_eq!(s1.docs, 1);
         assert_eq!(s1.generation, 1);
+        // One append stores both of its observations in the sidecar.
+        let reg = load_ingest_metrics(&dir).expect("sidecar written");
+        for name in ["seal_latency_seconds", "time_to_visibility_seconds"] {
+            assert_eq!(reg.histogram(name).expect(name).count(), 1, "{name}");
+        }
 
         // Crash window: durable but unsealed. A reopen must seal it.
         let rec = WalRecord::AddBatch(medline("b", "TI  - delta beta\n\n"));

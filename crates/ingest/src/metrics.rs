@@ -8,7 +8,8 @@
 //! [`Registry`] persisted at full bucket fidelity
 //! ([`Registry::to_persist_json`]) next to the manifest, reloaded on
 //! every open so histograms keep accumulating across processes, and
-//! rewritten atomically (tmp + rename) so readers never see a torn file.
+//! rewritten through [`inspire_store::publish_atomic`] once per
+//! mutation, so readers never see a torn file.
 //!
 //! The sidecar holds only the histograms ingest alone can measure:
 //!
@@ -23,6 +24,7 @@
 //! A missing or corrupt sidecar degrades to an empty registry: metrics
 //! are an observation, never a reason to fail ingestion.
 
+use inspire_store::publish_atomic;
 use inspire_trace::Registry;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -63,14 +65,9 @@ impl IngestMetrics {
 
     /// Atomically rewrite the sidecar.
     pub fn store(&self) -> io::Result<()> {
-        let path = self.dir.join(METRICS_FILE);
-        let tmp = self.dir.join(format!("{METRICS_FILE}.tmp"));
-        {
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(self.reg.to_persist_json().as_bytes())?;
-            f.sync_all()?;
-        }
-        std::fs::rename(&tmp, &path)
+        publish_atomic(&self.dir.join(METRICS_FILE), |f| {
+            f.write_all(self.reg.to_persist_json().as_bytes())
+        })
     }
 }
 

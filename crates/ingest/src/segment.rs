@@ -22,7 +22,7 @@ use inspire_core::index::Posting;
 use inspire_core::scan::tokenize_batch;
 use inspire_core::snapshot::{encode_posting_sections, pair_to_posting, PostingsDir};
 use inspire_core::tokenize::Tokenizer;
-use inspire_store::{codec, Snapshot, SnapshotWriter};
+use inspire_store::{codec, publish_atomic, Snapshot, SnapshotWriter};
 use intern::{TermInterner, TermTable};
 use std::io;
 use std::path::Path;
@@ -128,35 +128,32 @@ pub fn build_tombstones(doc_base: u32, mut ids: Vec<u32>) -> SegmentBuild {
     }
 }
 
-/// Write `b` as `dir/file`, via tmp + rename so a crash mid-write
-/// leaves only a `.tmp` stray (cleaned on the next open), never a
-/// half-written segment under a live name. Returns the file size.
+/// Publish `b` as `dir/file` through [`publish_atomic`], so a crash
+/// mid-write leaves only a `.tmp` stray (cleaned on the next open),
+/// never a half-written segment under a live name. Returns the file
+/// size.
 pub fn write_segment(dir: &Path, file: &str, b: &SegmentBuild) -> io::Result<u64> {
-    let tmp = dir.join(format!("{file}.tmp"));
     let enc = encode_posting_sections(b.terms.len(), &b.df, &b.tf, |t, posts| {
         posts.extend_from_slice(&b.lists[t]);
     });
-    let mut w = SnapshotWriter::create(&tmp)?;
-    w.add_u64s(
-        "smeta",
-        &[SEG_VERSION, b.doc_base as u64, b.doc_count as u64, b.tokens],
-    )?;
-    w.add_bytes("terms", b.terms.arena_bytes())?;
-    w.add_u32s("termoff", b.terms.offsets())?;
-    w.add_bytes("postdir", &enc.dir)?;
-    w.add_packed("postblk", &enc.blk)?;
-    w.add_skips("postskp", &enc.skips)?;
-    w.add_bytes("dfv", &enc.dfv)?;
-    w.add_bytes("tfv", &enc.tfv)?;
-    if !b.tombstones.is_empty() {
-        w.add_u32s("tomb", &b.tombstones)?;
-    }
-    let stats = w.finish()?;
-    std::fs::File::open(&tmp)?.sync_all()?;
-    std::fs::rename(&tmp, dir.join(file))?;
-    if let Ok(d) = std::fs::File::open(dir) {
-        d.sync_all().ok();
-    }
+    let stats = publish_atomic(&dir.join(file), |f| {
+        let mut w = SnapshotWriter::new(f)?;
+        w.add_u64s(
+            "smeta",
+            &[SEG_VERSION, b.doc_base as u64, b.doc_count as u64, b.tokens],
+        )?;
+        w.add_bytes("terms", b.terms.arena_bytes())?;
+        w.add_u32s("termoff", b.terms.offsets())?;
+        w.add_bytes("postdir", &enc.dir)?;
+        w.add_packed("postblk", &enc.blk)?;
+        w.add_skips("postskp", &enc.skips)?;
+        w.add_bytes("dfv", &enc.dfv)?;
+        w.add_bytes("tfv", &enc.tfv)?;
+        if !b.tombstones.is_empty() {
+            w.add_u32s("tomb", &b.tombstones)?;
+        }
+        w.finish()
+    })?;
     Ok(stats.total_bytes)
 }
 

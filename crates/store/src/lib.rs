@@ -55,8 +55,10 @@
 
 pub mod codec;
 mod crc;
+mod publish;
 
 pub use crc::{crc32, Crc32};
+pub use publish::publish_atomic;
 
 use std::fmt;
 use std::io::{self, Read, Seek, SeekFrom, Write};
@@ -209,23 +211,24 @@ pub struct SnapshotStats {
     pub sections: Vec<(String, u64)>,
 }
 
-/// Streams checksummed sections into a snapshot file. Sections are
-/// written (and flushed) as they are added; [`SnapshotWriter::finish`]
-/// appends the section table and patches the header. A file that was not
-/// `finish`ed has a zeroed header and is rejected by [`Snapshot::open`],
-/// so an interrupted write can never be mistaken for a snapshot.
-pub struct SnapshotWriter {
-    file: io::BufWriter<std::fs::File>,
+/// Streams checksummed sections into the handle it is given — the
+/// buffered file [`publish_atomic`] hands its closure, or any in-memory
+/// buffer. Sections are written as they are added;
+/// [`SnapshotWriter::finish`] appends the section table and patches the
+/// header. Bytes that were not `finish`ed have a zeroed header and are
+/// rejected by [`Snapshot::open`], so an interrupted write can never be
+/// mistaken for a snapshot.
+pub struct SnapshotWriter<W: Write + Seek> {
+    file: W,
     pos: u64,
     entries: Vec<Entry>,
 }
 
-impl SnapshotWriter {
-    /// Create (truncate) `path` and reserve the header.
-    pub fn create(path: &Path) -> io::Result<SnapshotWriter> {
-        let file = std::fs::File::create(path)?;
+impl<W: Write + Seek> SnapshotWriter<W> {
+    /// Start a snapshot at the beginning of `file` by reserving the header.
+    pub fn new(file: W) -> io::Result<SnapshotWriter<W>> {
         let mut w = SnapshotWriter {
-            file: io::BufWriter::new(file),
+            file,
             pos: 0,
             entries: Vec::new(),
         };
@@ -764,16 +767,31 @@ mod tests {
         p
     }
 
+    type FileWriter<'a> = SnapshotWriter<&'a mut io::BufWriter<std::fs::File>>;
+
+    /// Publish a snapshot at `path` holding the sections `add` writes.
+    fn write_file(
+        path: &Path,
+        add: impl FnOnce(&mut FileWriter) -> io::Result<()>,
+    ) -> SnapshotStats {
+        publish_atomic(path, |f| {
+            let mut w = SnapshotWriter::new(f)?;
+            add(&mut w)?;
+            w.finish()
+        })
+        .unwrap()
+    }
+
     fn sample(path: &Path) -> SnapshotStats {
-        let mut w = SnapshotWriter::create(path).unwrap();
-        w.add_u32s("ids", &[1, 2, 3, 0xFFFF_FFFF]).unwrap();
-        w.add_f64s("vals", &[0.5, -1.25, f64::MAX, 0.0]).unwrap();
-        w.add_u64s("big", &[u64::MAX, 7]).unwrap();
-        w.add_i64s("off", &[-1, 0, i64::MAX]).unwrap();
-        w.add_bytes("blob", b"arbitrary \x00 bytes").unwrap();
-        w.add_str("text", "hello snapshot").unwrap();
-        w.add_bytes("empty", b"").unwrap();
-        w.finish().unwrap()
+        write_file(path, |w| {
+            w.add_u32s("ids", &[1, 2, 3, 0xFFFF_FFFF])?;
+            w.add_f64s("vals", &[0.5, -1.25, f64::MAX, 0.0])?;
+            w.add_u64s("big", &[u64::MAX, 7])?;
+            w.add_i64s("off", &[-1, 0, i64::MAX])?;
+            w.add_bytes("blob", b"arbitrary \x00 bytes")?;
+            w.add_str("text", "hello snapshot")?;
+            w.add_bytes("empty", b"")
+        })
     }
 
     #[test]
@@ -831,27 +849,24 @@ mod tests {
 
     #[test]
     fn writer_rejects_bad_names() {
-        let path = tmp("names.snap");
-        let mut w = SnapshotWriter::create(&path).unwrap();
+        let mut w = SnapshotWriter::new(io::Cursor::new(Vec::new())).unwrap();
         assert!(w.add_bytes("", b"x").is_err());
         assert!(w.add_bytes("waytoolong", b"x").is_err());
         assert!(w.add_bytes("has space", b"x").is_err());
         w.add_bytes("ok", b"x").unwrap();
         assert!(w.add_bytes("ok", b"y").is_err(), "duplicate must fail");
         w.finish().unwrap();
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn unfinished_file_is_rejected() {
-        let path = tmp("unfinished.snap");
+        let mut out = io::Cursor::new(Vec::new());
         {
-            let mut w = SnapshotWriter::create(&path).unwrap();
+            let mut w = SnapshotWriter::new(&mut out).unwrap();
             w.add_u32s("ids", &[1, 2, 3]).unwrap();
             // Dropped without finish(): header stays zeroed.
         }
-        assert!(Snapshot::open(&path).is_err());
-        std::fs::remove_file(&path).ok();
+        assert!(Snapshot::from_bytes(out.get_ref(), "unfinished").is_err());
     }
 
     #[test]
@@ -912,8 +927,7 @@ mod tests {
     #[test]
     fn empty_snapshot_roundtrips() {
         let path = tmp("empty.snap");
-        let w = SnapshotWriter::create(&path).unwrap();
-        let stats = w.finish().unwrap();
+        let stats = write_file(&path, |_| Ok(()));
         assert_eq!(stats.sections.len(), 0);
         let s = Snapshot::open(&path).unwrap();
         assert_eq!(s.sections().count(), 0);
@@ -927,10 +941,10 @@ mod tests {
         let mut blob = Vec::new();
         let mut skips = Vec::new();
         codec::encode_list(&pairs, &mut blob, &mut skips);
-        let mut w = SnapshotWriter::create(&path).unwrap();
-        w.add_packed("plist", &blob).unwrap();
-        w.add_skips("pskip", &skips).unwrap();
-        w.finish().unwrap();
+        write_file(&path, |w| {
+            w.add_packed("plist", &blob)?;
+            w.add_skips("pskip", &skips)
+        });
 
         let s = Snapshot::open(&path).unwrap();
         assert_eq!(s.version(), FORMAT_VERSION);
@@ -979,9 +993,7 @@ mod tests {
     #[test]
     fn v1_file_with_v2_kinds_is_rejected() {
         let path = tmp("v1kinds.snap");
-        let mut w = SnapshotWriter::create(&path).unwrap();
-        w.add_packed("plist", &[0, 1, 2]).unwrap();
-        w.finish().unwrap();
+        write_file(&path, |w| w.add_packed("plist", &[0, 1, 2]));
         // Claiming version 1 while carrying a Packed section is malformed.
         assert!(Snapshot::from_bytes(&with_version(&path, 1), "v1bad").is_err());
         std::fs::remove_file(&path).ok();
@@ -991,13 +1003,14 @@ mod tests {
     fn quant_sections_roundtrip_and_validate_record_size() {
         let path = tmp("quant.snap");
         let codes: Vec<u8> = (0..5 * 7).map(|i| (i * 11 % 251) as u8).collect();
-        let mut w = SnapshotWriter::create(&path).unwrap();
-        w.add_quant("qsig", &codes, 5, 7).unwrap();
-        assert!(
-            w.add_quant("qbad", &codes, 5, 8).is_err(),
-            "writer must reject a payload that is not records × record bytes"
-        );
-        w.finish().unwrap();
+        write_file(&path, |w| {
+            w.add_quant("qsig", &codes, 5, 7)?;
+            assert!(
+                w.add_quant("qbad", &codes, 5, 8).is_err(),
+                "writer must reject a payload that is not records × record bytes"
+            );
+            Ok(())
+        });
 
         let s = Snapshot::open(&path).unwrap();
         let view = s.require("qsig").unwrap();
@@ -1015,9 +1028,7 @@ mod tests {
     #[test]
     fn v1_file_with_quant_kind_is_rejected() {
         let path = tmp("v1quant.snap");
-        let mut w = SnapshotWriter::create(&path).unwrap();
-        w.add_quant("qsig", &[1, 2, 3, 4], 2, 2).unwrap();
-        w.finish().unwrap();
+        write_file(&path, |w| w.add_quant("qsig", &[1, 2, 3, 4], 2, 2));
         assert!(Snapshot::from_bytes(&with_version(&path, 1), "v1q").is_err());
         std::fs::remove_file(&path).ok();
     }

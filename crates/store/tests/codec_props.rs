@@ -12,7 +12,7 @@ use inspire_store::codec::{
     decode_from, decode_list, encode_list, read_varints_u32, read_varints_u32_scalar, seek_block,
     skip_last_key, write_u32, BLOCK_LEN,
 };
-use inspire_store::{Snapshot, SnapshotWriter};
+use inspire_store::{publish_atomic, Snapshot, SnapshotWriter};
 use proptest::prelude::*;
 
 /// Build a sorted key sequence from a base and gaps (gap 0 is legal:
@@ -148,10 +148,13 @@ proptest! {
             std::process::id()
         ));
         let _ = std::fs::remove_file(&path);
-        let mut w = SnapshotWriter::create(&path).expect("create");
-        w.add_packed("postblk", &blk).expect("postblk");
-        w.add_skips("postskp", &skips).expect("postskp");
-        w.finish().expect("finish");
+        publish_atomic(&path, |f| {
+            let mut w = SnapshotWriter::new(f)?;
+            w.add_packed("postblk", &blk)?;
+            w.add_skips("postskp", &skips)?;
+            w.finish()
+        })
+        .expect("publish");
         Snapshot::open(&path).expect("pristine file validates");
 
         let mut bytes = std::fs::read(&path).expect("read back");
@@ -182,10 +185,13 @@ proptest! {
             std::process::id()
         ));
         let _ = std::fs::remove_file(&path);
-        let mut w = SnapshotWriter::create(&path).expect("create");
-        w.add_packed("postblk", &blk).expect("postblk");
-        w.add_skips("postskp", &skips).expect("postskp");
-        w.finish().expect("finish");
+        publish_atomic(&path, |f| {
+            let mut w = SnapshotWriter::new(f)?;
+            w.add_packed("postblk", &blk)?;
+            w.add_skips("postskp", &skips)?;
+            w.finish()
+        })
+        .expect("publish");
 
         let bytes = std::fs::read(&path).expect("read back");
         let keep = cut_seed % bytes.len();
